@@ -82,7 +82,6 @@ from .training import (
     NormalAccumulator,
     Readout,
     TrainConfig,
-    accumulate,
     load_model,
     save_model,
     solve_readout,

@@ -269,17 +269,17 @@ def _lorenz_field(state):
 def _lorenz_references() -> tuple[np.ndarray, np.ndarray]:
     """On-attractor reference trajectories for the two lobes.
 
-    Each is built by integrating 10^4 steps and discarding the first half.
-    The flow is invariant under (y, z) -> (-y, -z), which maps the lobes
-    onto each other; z keeps a single sign on each attractor, so the sign
-    of z identifies the lobe.
+    Both are integrated together, as one two-member RK4 ensemble over 10^4
+    steps, and the first half of each is discarded.  The flow is invariant
+    under (y, z) -> (-y, -z), which maps the lobes onto each other; z keeps
+    a single sign on each attractor, so the sign of z identifies the lobe.
     """
-    refs = []
-    for seed_state in ((0.0, 1.0, 1.0), (0.0, 1.0, -1.0)):
-        traj = integrate_rk4(_lorenz_system_bare(), np.array(seed_state), dt=0.02,
-                             n=10_000).values
-        refs.append(traj[traj.shape[0] // 2:])
-    upper, lower = refs
+    seeds = np.array([(0.0, 1.0, 1.0), (0.0, 1.0, -1.0)])
+    out = rk4_ensemble(_lorenz_system_bare(), seeds, dt=0.02, n=10_000)
+    if not np.all(np.isfinite(out)):  # pragma: no cover
+        raise NonFiniteError("RK4 lobe references of multistable_lorenz overflowed")
+    tail = out[out.shape[0] // 2:]
+    upper, lower = (np.ascontiguousarray(tail[:, i]) for i in range(2))
     if not (np.all(upper[:, 2] > 0) and np.all(lower[:, 2] < 0)):  # pragma: no cover
         raise RuntimeError("lobe references did not separate by z sign")
     upper.flags.writeable = False

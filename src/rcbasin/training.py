@@ -133,12 +133,6 @@ class NormalAccumulator:
         return self
 
 
-def accumulate(acc: NormalAccumulator, states: np.ndarray,
-               targets: np.ndarray) -> NormalAccumulator:
-    """Functional alias for :meth:`NormalAccumulator.accumulate`."""
-    return acc.accumulate(states, targets)
-
-
 def solve_readout(acc: NormalAccumulator, alpha: float) -> np.ndarray:
     """Solve w_out = yrt (rrt + alpha n_fit I)^(-1) without forming an inverse.
 

@@ -16,6 +16,12 @@ from rcbasin.classify import (
     nearest_magnet_baseline,
     score,
 )
+from rcbasin.classify import (
+    _cached_reference_side,
+    _log_mixture_density,
+    _log_mixture_density_blocked,
+    _reference_side,
+)
 from rcbasin.errors import DegenerateCloudError, DimensionMismatchError
 from rcbasin.systems import duffing, magnetic_pendulum, multistable_lorenz
 from rcbasin.timeseries import TimeSeries
@@ -167,6 +173,69 @@ class TestKlDivergence:
         a = rng.standard_normal((100, 2))
         b = rng.standard_normal((100, 2)) + 1.0
         assert kl_divergence(a, b) == kl_divergence(a, b)
+
+
+class TestKlReferenceCache:
+    """The default-rng reference side is memoized without changing any value."""
+
+    def test_cached_equals_explicit_default_seed(self, lorenz):
+        rng = np.random.default_rng(9)
+        for ref in (a.reference for a in lorenz.attractors):
+            tails = (ref[-500:], ref[:500] + 0.3 * rng.standard_normal((500, 3)),
+                     rng.standard_normal((500, 3)) * 5.0)
+            for tail in tails:
+                cached = kl_divergence(ref, tail)
+                explicit = kl_divergence(ref, tail, rng=np.random.default_rng(0))
+                assert cached == explicit
+                assert kl_divergence(ref, tail) == cached
+
+    def test_degenerate_cloud_through_safe(self):
+        frozen = np.ones((10, 2))
+        spread = np.random.default_rng(5).standard_normal((10, 2))
+        assert kl_divergence_safe(frozen, spread) == kl_divergence_safe(
+            frozen, spread, rng=np.random.default_rng(0))
+
+    def test_in_place_edit_is_not_stale(self):
+        rng = np.random.default_rng(10)
+        ref = rng.standard_normal((200, 3))
+        tail = rng.standard_normal((100, 3)) + 0.5
+        before = kl_divergence(ref, tail)
+        ref[:100] += 2.0
+        after = kl_divergence(ref, tail)
+        assert after != before
+        assert after == kl_divergence(ref, tail, rng=np.random.default_rng(0))
+
+    def test_keyword_arguments_never_share_an_entry(self):
+        rng = np.random.default_rng(11)
+        ref = rng.standard_normal((200, 2))
+        tail = rng.standard_normal((100, 2)) + 1.0
+        base = kl_divergence(ref, tail)
+        for kwargs in ({"n_samples": 300}, {"sigma_scale": 0.5}):
+            value = kl_divergence(ref, tail, **kwargs)
+            assert value != base
+            assert value == kl_divergence(ref, tail, rng=np.random.default_rng(0),
+                                          **kwargs)
+        assert kl_divergence(ref, tail) == base
+
+    @pytest.mark.parametrize("n_samples", [1000, 300])
+    def test_row_blocks_match_single_shot(self, lorenz, n_samples):
+        ref = lorenz.attractors[0].reference
+        center, spread, draws, log_p_ref = _reference_side(
+            ref, n_samples, 1.0, 1e-10, 0.0, np.random.default_rng(0))
+        standardized = (ref - center) / spread
+        single = _log_mixture_density(draws, standardized, 1.0)
+        assert np.array_equal(_log_mixture_density_blocked(draws, standardized, 1.0),
+                              single)
+        assert np.array_equal(log_p_ref, single)
+
+    def test_cached_arrays_are_read_only(self, lorenz):
+        ref = lorenz.attractors[1].reference
+        kl_divergence(ref, ref[-500:])
+        side = _cached_reference_side(ref.tobytes(), ref.shape, 1000, 1.0, 1e-10, 0.0)
+        for array in side:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestScore:

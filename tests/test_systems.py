@@ -152,6 +152,15 @@ class TestMultistableLorenz:
             assert att.kind == CHAOTIC
             assert att.reference.shape[0] >= 500
 
+    def test_references_equal_serial_integrations(self):
+        # the two-member ensemble reproduces one integrate_rk4 run per seed
+        sys = multistable_lorenz()
+        for att, z0 in zip(sys.attractors, (1.0, -1.0)):
+            serial = integrate_rk4(sys, np.array([0.0, 1.0, z0]), 0.02, 10_000).values
+            assert att.reference.shape == (5001, 3)
+            assert np.array_equal(att.reference, serial[5000:])
+            assert not att.reference.flags.writeable
+
 
 class TestRk4:
     def test_zero_field_constant(self):

@@ -15,7 +15,6 @@ from rcbasin.training import (
     NormalAccumulator,
     Readout,
     TrainConfig,
-    accumulate,
     fit_mse,
     load_model,
     save_model,
@@ -45,14 +44,14 @@ def small_reservoir(n_in=1, seed=0, n_r=100):
 class TestAccumulator:
     def test_empty_batch_is_noop(self):
         acc = NormalAccumulator(4, 2)
-        accumulate(acc, np.zeros((0, 4)), np.zeros((0, 2)))
+        acc.accumulate(np.zeros((0, 4)), np.zeros((0, 2)))
         assert acc.n_fit == 0
         assert not acc.rrt.any() and not acc.yrt.any()
 
     def test_unit_vector_outer_product(self):
         # state e1 with target (1, 0) adds a single 1 in each block corner
         acc = NormalAccumulator(3, 2)
-        accumulate(acc, np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]))
+        acc.accumulate(np.array([[1.0, 0.0, 0.0]]), np.array([[1.0, 0.0]]))
         assert acc.rrt[0, 0] == 1.0 and acc.rrt.sum() == 1.0
         assert acc.yrt[0, 0] == 1.0 and acc.yrt.sum() == 1.0
         assert acc.n_fit == 1
