@@ -16,6 +16,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -30,7 +31,6 @@ class ConfigError(RcbasinError):
     """Raised with a section/key diagnostic when a config does not validate."""
 
 
-# (section, key) -> (config field, parser)
 def _ints(text): return tuple(int(tok) for tok in text.replace(",", " ").split())
 def _floats(text): return tuple(float(tok) for tok in text.replace(",", " ").split())
 def _bool(text):
@@ -43,43 +43,33 @@ def _opt_int(text): return None if text.strip() == "" else int(text)
 def _opt_float(text): return None if text.strip() == "" else float(text)
 
 
-_FIELD_MAP = {
-    ("system", "dt"): ("dt", float),
-    ("system", "adaptive_truth"): ("adaptive_truth", _bool),
-    ("system", "rel_tol"): ("rel_tol", float),
-    ("system", "abs_tol"): ("abs_tol", float),
-    ("observation", "components"): ("observe", _ints),
-    ("reservoir", "n_r"): ("n_r", int),
-    ("reservoir", "mean_degree"): ("mean_degree", float),
-    ("reservoir", "spectral_radius"): ("spectral_radius", float),
-    ("reservoir", "input_strength"): ("input_strength", float),
-    ("reservoir", "bias_strength"): ("bias_strength", float),
-    ("reservoir", "leakage"): ("leakage", float),
-    ("training", "n_trans"): ("n_trans", int),
-    ("training", "alpha"): ("alpha", float),
-    ("training", "eta"): ("eta", float),
-    ("training", "batch_max_states"): ("batch_max_states", int),
-    ("training", "standardize_inputs"): ("standardize_inputs", _bool),
-    ("experiment", "n_train"): ("n_train", int),
-    ("experiment", "train_sig_len"): ("train_sig_len", int),
-    ("experiment", "train_half_width"): ("train_half_width", float),
-    ("experiment", "restrict_to_basin"): ("restrict_to_basin", _opt_int),
-    ("experiment", "reject_horizon"): ("reject_horizon", int),
-    ("experiment", "max_attempt_factor"): ("max_attempt_factor", int),
-    ("experiment", "grid_axes"): ("grid_axes", _ints),
-    ("experiment", "test_half_width"): ("test_half_width", float),
-    ("experiment", "resolution"): ("resolution", int),
-    ("experiment", "n_test"): ("n_test", int),
-    ("experiment", "horizon"): ("horizon", int),
-    ("criteria", "eps_c"): ("eps_c", float),
-    ("criteria", "tail_len"): ("tail_len", int),
-    ("criteria", "energy_barrier"): ("energy_barrier", _opt_float),
-    ("criteria", "kl_threshold"): ("kl_threshold", _opt_float),
-    ("criteria", "kl_tail"): ("kl_tail", int),
-    ("seeds", "reservoir"): ("seed_reservoir", int),
-    ("seeds", "sampling"): ("seed_sampling", int),
-    ("seeds", "noise"): ("seed_noise", int),
+#: Value parser for each ExperimentConfig field annotation.
+_PARSERS = {"float": float, "int": int, "bool": _bool, "int | None": _opt_int,
+            "float | None": _opt_float, "tuple[int, ...]": _ints, "tuple[int, int]": _ints}
+
+#: ExperimentConfig fields set by each INI section (``system`` and
+#: ``system_params`` come from ``[system]`` separately).
+_SECTIONS = {
+    "system": ("dt", "adaptive_truth", "rel_tol", "abs_tol"),
+    "observation": ("observe",),
+    "reservoir": ("n_r", "mean_degree", "spectral_radius", "input_strength",
+                  "bias_strength", "leakage"),
+    "training": ("n_trans", "alpha", "eta", "batch_max_states", "standardize_inputs"),
+    "experiment": ("n_train", "train_sig_len", "train_half_width", "restrict_to_basin",
+                   "reject_horizon", "max_attempt_factor", "grid_axes", "test_half_width",
+                   "resolution", "n_test", "horizon"),
+    "criteria": ("eps_c", "tail_len", "energy_barrier", "kl_threshold", "kl_tail"),
+    "seeds": ("seed_reservoir", "seed_sampling", "seed_noise"),
 }
+
+#: INI keys that differ from their field names.
+_KEYS = {"observe": "components", "seed_reservoir": "reservoir",
+         "seed_sampling": "sampling", "seed_noise": "noise"}
+
+# (section, key) -> (config field, parser)
+_FIELD_MAP = {(section, _KEYS.get(f.name, f.name)): (f.name, _PARSERS[f.type])
+              for section, names in _SECTIONS.items()
+              for f in fields(ExperimentConfig) if f.name in names}
 
 #: Sections whose keys are consumed by subcommands rather than the config.
 _COMMAND_SECTIONS = ("simulate", "predict", "sweep")
@@ -166,7 +156,7 @@ def cmd_simulate(cfg, parser, out: _OutputTracker) -> None:
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[simulate] ic needs {sys_def.dim} components, got {len(ic)}")
-    values = experiment._integrate_full(cfg, sys_def, np.array(ic), n_steps)
+    values = experiment.integrate_truth(cfg, sys_def, np.array(ic), n_steps)
     series = TimeSeries(values, cfg.dt)
     write_csv(series, out.path("trajectory.csv"))
     print(f"wrote trajectory.csv ({series.n_samples} samples)")
@@ -203,7 +193,7 @@ def cmd_predict(cfg, parser, out: _OutputTracker, bundle: str) -> None:
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[predict] ic needs {sys_def.dim} components, got {len(ic)}")
-    truth = experiment._integrate_full(cfg, sys_def, np.array(ic), cfg.n_test - 1)
+    truth = experiment.integrate_truth(cfg, sys_def, np.array(ic), cfg.n_test - 1)
     test_signal = TimeSeries(truth[:, list(cfg.observe)], cfg.dt)
     state = synchronize(res, readout, test_signal)
     n_pred = cfg.horizon - cfg.n_test

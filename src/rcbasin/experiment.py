@@ -226,7 +226,7 @@ def make_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return coords, ics
 
 
-def _integrate_full(cfg: ExperimentConfig, sys: SystemDef, ic: np.ndarray,
+def integrate_truth(cfg: ExperimentConfig, sys: SystemDef, ic: np.ndarray,
                     n_steps: int) -> np.ndarray:
     """One truth trajectory of n_steps + 1 samples at the experiment step."""
     if cfg.adaptive_truth:
@@ -258,16 +258,14 @@ def _truth_chunk(cfg: ExperimentConfig, ics_chunk: np.ndarray) -> tuple[np.ndarr
     labels = np.empty(m, dtype=int)
     prefixes = np.empty((m, cfg.n_test, len(cfg.observe)))
     if cfg.adaptive_truth:
-        for i in range(m):
-            values = _integrate_full(cfg, sys, ics_chunk[i], cfg.horizon - 1)
-            labels[i] = _label_full_trajectory(cfg, sys, crit, values)
-            prefixes[i] = values[:cfg.n_test][:, list(cfg.observe)]
+        trajectories = (integrate_truth(cfg, sys, ic, cfg.horizon - 1)
+                        for ic in ics_chunk)
     else:
         ensemble = rk4_ensemble(sys, ics_chunk, cfg.dt, cfg.horizon - 1)
-        for i in range(m):
-            values = ensemble[:, i, :]
-            labels[i] = _label_full_trajectory(cfg, sys, crit, values)
-            prefixes[i] = values[:cfg.n_test][:, list(cfg.observe)]
+        trajectories = (ensemble[:, i, :] for i in range(m))
+    for i, values in enumerate(trajectories):
+        labels[i] = _label_full_trajectory(cfg, sys, crit, values)
+        prefixes[i] = values[:cfg.n_test][:, list(cfg.observe)]
     return labels, prefixes
 
 
@@ -296,7 +294,7 @@ _REJECT_BLOCK = 32
 
 def _candidate_trajectory(cfg: ExperimentConfig, ic: np.ndarray,
                           n_steps: int) -> np.ndarray:
-    return _integrate_full(cfg, system_from_config(cfg), ic, n_steps)
+    return integrate_truth(cfg, system_from_config(cfg), ic, n_steps)
 
 
 def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
@@ -355,7 +353,7 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
                         _candidate_trajectory, itertools.repeat(cfg), ics,
                         itertools.repeat(n_steps)))
                 else:
-                    trajectories = [_integrate_full(cfg, sys, ic, n_steps)
+                    trajectories = [integrate_truth(cfg, sys, ic, n_steps)
                                     for ic in ics]
             else:
                 ensemble = rk4_ensemble(sys, ics, cfg.dt, n_steps)

@@ -7,22 +7,29 @@ advance by
     r' = (1 - leakage) * r + leakage * tanh(w_r r + w_in u + bias)
 
 either driven by an external signal (open loop) or by the trained readout's
-own output (closed loop).  Batched variants evolve many independent runs in
-lock step; columns never interact, and each run follows the same recursion
-as the single-run functions.
+own output (closed loop).  One kernel runs it for single runs and for batches
+evolved in lock step as the columns of one state array (columns never
+interact).  The weight archive written here also carries model bundles.
 """
 
 from __future__ import annotations
 
+import io
 import zipfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib import format as npformat
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
-from .errors import DimensionMismatchError, NonFiniteError, SingularSpectrumError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    SchemaMismatchError,
+    SingularSpectrumError,
+)
 from .timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -170,9 +177,52 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     return Reservoir(w_r, w_in, bias, spec.leakage, spec=spec)
 
 
-def _step(res: Reservoir, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
+            inputs: np.ndarray | None = None, w_out: np.ndarray | None = None,
+            keep_last: int | None = None) -> np.ndarray:
+    """The reservoir update, run on one (n_r,) state or on (n_r, m) columns.
+
+    Open loop: step k consumes ``inputs[k]`` and records the new state.
+    Closed loop (``w_out`` given): step k records ``w_out @ r`` and, unless
+    it is the last step, consumes it.  Returns the last ``keep_last`` records
+    (default all) on a new first axis.  A non-finite value stays in its
+    column, without a warning.  Single runs stay 1-d: scipy gives an (n_r, 1)
+    column the same sparse product bits with about 3 us more overhead a step.
+    """
+    if w_out is not None and n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if w_out is not None and w_out.shape != (res.n_in, res.n_r):
+        raise DimensionMismatchError(
+            f"readout w_out has shape {w_out.shape}, not ({res.n_in}, {res.n_r})")
+    kept = n_steps if keep_last is None else min(keep_last, n_steps)
+    first_kept = n_steps - kept
+    records = np.empty((kept, res.n_r if w_out is None else res.n_in) + r.shape[1:])
+    bias = res.bias if r.ndim == 1 else res.bias[:, None]
     lam = res.leakage
-    return (1.0 - lam) * state + lam * np.tanh(res.w_r @ state + res.w_in @ u + res.bias)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n_steps):
+            if w_out is None:
+                u = inputs[k]
+            else:
+                u = w_out @ r
+                if k >= first_kept:
+                    records[k - first_kept] = u
+                if k + 1 == n_steps:
+                    break
+            # two statements: as one expression this ran ~2x slower at (200, 512)
+            pre = res.w_r @ r + res.w_in @ u + bias
+            r = (1.0 - lam) * r + lam * np.tanh(pre)
+            if w_out is None and k >= first_kept:
+                records[k - first_kept] = r
+    return records
+
+
+def _start_states(r: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """Check start states against ``shape``; batches come back as (n_r, m) columns."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != shape:
+        raise DimensionMismatchError(f"{name} must have shape {shape}, got {r.shape}")
+    return r.T
 
 
 def drive_open_loop(res: Reservoir, signal: TimeSeries | np.ndarray,
@@ -189,15 +239,8 @@ def drive_open_loop(res: Reservoir, signal: TimeSeries | np.ndarray,
         raise DimensionMismatchError(
             f"signal width {values.shape[1]} does not match reservoir n_in {res.n_in}"
         )
-    r0 = np.asarray(r0, dtype=float)
-    if r0.shape != (res.n_r,):
-        raise DimensionMismatchError(f"r0 must have shape ({res.n_r},)")
-    states = np.empty((values.shape[0], res.n_r))
-    r = r0
-    for k in range(values.shape[0]):
-        r = _step(res, r, values[k])
-        states[k] = r
-    return states
+    r0 = _start_states(r0, (res.n_r,), "r0")
+    return _evolve(res, r0, values.shape[0], inputs=values)
 
 
 def run_closed_loop(res: Reservoir, readout: "Readout", r_start: np.ndarray,
@@ -210,27 +253,16 @@ def run_closed_loop(res: Reservoir, readout: "Readout", r_start: np.ndarray,
     standardized coordinates internally and the returned series is mapped
     back through the readout's standardizer.
 
-    Raises :class:`NonFiniteError` as soon as a state or output leaves the
-    finite range, which signals an unstable readout.
+    Raises :class:`NonFiniteError` if a state or output leaves the finite
+    range, which signals an unstable readout.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    w_out = readout.w_out
-    if w_out.shape[1] != res.n_r or w_out.shape[0] != res.n_in:
-        raise DimensionMismatchError("readout shape does not match reservoir")
-    outputs = np.empty((n_steps, res.n_in))
-    r = np.asarray(r_start, dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_steps):
-            u = w_out @ r
-            if not np.all(np.isfinite(u)):
-                raise NonFiniteError(f"closed-loop output became non-finite at step {k}")
-            outputs[k] = u
-            if k + 1 < n_steps:
-                r = _step(res, r, u)
-                if not np.all(np.isfinite(r)):
-                    raise NonFiniteError(
-                        f"reservoir state became non-finite at step {k + 1}")
+    r_start = _start_states(r_start, (res.n_r,), "r_start")
+    outputs = _evolve(res, r_start, n_steps, w_out=readout.w_out)
+    # w_out is finite, so a non-finite state always shows in its output
+    finite = np.isfinite(outputs).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(
+            f"closed-loop output became non-finite at step {np.argmin(finite)}")
     return TimeSeries(readout.standardizer.invert_values(outputs), dt, t0)
 
 
@@ -240,8 +272,7 @@ def synchronize(res: Reservoir, readout: "Readout", test_signal: TimeSeries) -> 
     Returns the final reservoir state, ready for :func:`run_closed_loop`.
     """
     standardized = readout.standardizer.apply(test_signal)
-    states = drive_open_loop(res, standardized, res.zero_state())
-    return states[-1]
+    return drive_open_loop(res, standardized, res.zero_state())[-1]
 
 
 def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray,
@@ -249,7 +280,7 @@ def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray,
     """Drive many equal-length signals at once.
 
     Args:
-        inputs: Array of shape (n_runs, n_samples, n_in).
+        inputs: Array of shape (n_runs, n_samples, n_in), n_samples >= 1.
         r0: Optional (n_runs, n_r) start states; zeros when omitted.
 
     Returns:
@@ -257,15 +288,12 @@ def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray,
         same recursion as :func:`drive_open_loop`.
     """
     inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 3 or inputs.shape[2] != res.n_in:
-        raise DimensionMismatchError("inputs must be (n_runs, n_samples, n_in)")
-    n_runs = inputs.shape[0]
-    states = np.zeros((res.n_r, n_runs)) if r0 is None else np.array(r0, float).T
-    lam = res.leakage
-    for k in range(inputs.shape[1]):
-        pre = res.w_r @ states + res.w_in @ inputs[:, k, :].T + res.bias[:, None]
-        states = (1.0 - lam) * states + lam * np.tanh(pre)
-    return states.T
+    if inputs.ndim != 3 or inputs.shape[1] < 1 or inputs.shape[2] != res.n_in:
+        raise DimensionMismatchError("inputs must be (n_runs, n_samples >= 1, n_in)")
+    n_runs, n_samples = inputs.shape[:2]
+    states = (np.zeros((res.n_r, n_runs)) if r0 is None
+              else _start_states(r0, (n_runs, res.n_r), "r0"))
+    return _evolve(res, states, n_samples, inputs=inputs.transpose(1, 2, 0), keep_last=1)[0].T
 
 
 def run_closed_loop_batch(res: Reservoir, readout: "Readout", r_start: np.ndarray,
@@ -285,85 +313,64 @@ def run_closed_loop_batch(res: Reservoir, readout: "Readout", r_start: np.ndarra
         Unstandardized outputs, shape (n_runs, kept, n_in) where kept is
         min(n_steps, keep_last or n_steps).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    kept = n_steps if keep_last is None else min(keep_last, n_steps)
-    n_runs = r_start.shape[0]
-    w_out = readout.w_out
-    out = np.empty((kept, n_runs, res.n_in))
-    states = np.array(r_start, dtype=float).T
-    lam = res.leakage
-    first_kept = n_steps - kept
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n_steps):
-            u = w_out @ states
-            if k >= first_kept:
-                out[k - first_kept] = u.T
-            if k + 1 < n_steps:
-                pre = res.w_r @ states + res.w_in @ u + res.bias[:, None]
-                states = (1.0 - lam) * states + lam * np.tanh(pre)
-    out = np.swapaxes(out, 0, 1)
-    return readout.standardizer.invert_values(out)
+    states = _start_states(r_start, np.shape(r_start)[:1] + (res.n_r,), "r_start")
+    out = _evolve(res, states, n_steps, w_out=readout.w_out, keep_last=keep_last)
+    return readout.standardizer.invert_values(out.transpose(2, 0, 1))
 
 
 _RESERVOIR_SCHEMA = "rcbasin-reservoir-1"
 
 
-def save_reservoir(res: Reservoir, path) -> None:
-    """Serialize spec and weights so that loading reproduces bit-identical dynamics."""
+def write_archive(path, schema: str, res: Reservoir, **extra: np.ndarray) -> None:
+    """Write the reservoir, plus ``extra`` members, as one byte-reproducible .npz.
+
+    Members: ``schema``, ``spec`` (its fields in order, as floats), the CSR
+    triple ``w_r_data``/``w_r_indices``/``w_r_indptr``, ``w_in`` and ``bias``.
+    Zip timestamps are pinned, where ``np.savez`` would stamp the current time.
+    """
     if res.spec is None:
         raise ValueError("only reservoirs built from a ReservoirSpec can be saved")
     arrays = {
-        "schema": np.array(_RESERVOIR_SCHEMA),
-        "spec": _spec_to_array(res.spec),
+        "schema": np.array(schema),
+        "spec": np.array(astuple(res.spec), dtype=float),
         "w_r_data": res.w_r.data,
         "w_r_indices": res.w_r.indices,
         "w_r_indptr": res.w_r.indptr,
         "w_in": res.w_in,
         "bias": res.bias,
+        **extra,
     }
-    write_npz_deterministic(path, arrays)
-
-
-def load_reservoir(path) -> Reservoir:
-    from .errors import SchemaMismatchError
-
-    with np.load(path, allow_pickle=False) as archive:
-        if str(archive["schema"]) != _RESERVOIR_SCHEMA:
-            raise SchemaMismatchError(f"unexpected reservoir schema {archive['schema']}")
-        spec = _spec_from_array(archive["spec"])
-        w_r = sparse.csr_matrix(
-            (archive["w_r_data"], archive["w_r_indices"], archive["w_r_indptr"]),
-            shape=(spec.n_r, spec.n_r),
-        )
-        return Reservoir(w_r, archive["w_in"], archive["bias"], spec.leakage, spec=spec)
-
-
-def _spec_to_array(spec: ReservoirSpec) -> np.ndarray:
-    return np.array([spec.n_r, spec.mean_degree, spec.spectral_radius,
-                     spec.input_strength, spec.bias_strength, spec.leakage,
-                     spec.n_in, spec.seed], dtype=float)
-
-
-def _spec_from_array(arr: np.ndarray) -> ReservoirSpec:
-    return ReservoirSpec(n_r=int(arr[0]), mean_degree=float(arr[1]),
-                         spectral_radius=float(arr[2]), input_strength=float(arr[3]),
-                         bias_strength=float(arr[4]), leakage=float(arr[5]),
-                         n_in=int(arr[6]), seed=int(arr[7]))
-
-
-def write_npz_deterministic(path, arrays: dict) -> None:
-    """Write an .npz archive with fixed zip metadata.
-
-    ``np.savez`` stamps entries with the current time, which breaks the
-    byte-identical-rerun contract; this writer pins the timestamps.
-    """
-    from numpy.lib import format as npformat
-    import io
-
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(arrays):
             buf = io.BytesIO()
             npformat.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             zf.writestr(info, buf.getvalue())
+
+
+def read_archive(path, schema: str, extra: tuple = ()) -> tuple[Reservoir, dict]:
+    """Return the reservoir and the ``extra`` members of a :func:`write_archive` file.
+
+    Raises :class:`SchemaMismatchError` unless it was written under ``schema``.
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        if str(archive["schema"]) != schema:
+            raise SchemaMismatchError(
+                f"unexpected archive schema {archive['schema']}; expected {schema}")
+        spec = ReservoirSpec(*(int(v) if f.type == "int" else float(v)
+                               for f, v in zip(fields(ReservoirSpec), archive["spec"])))
+        w_r = sparse.csr_matrix(
+            (archive["w_r_data"], archive["w_r_indices"], archive["w_r_indptr"]),
+            shape=(spec.n_r, spec.n_r),
+        )
+        res = Reservoir(w_r, archive["w_in"], archive["bias"], spec.leakage, spec=spec)
+        return res, {name: archive[name] for name in extra}
+
+
+def save_reservoir(res: Reservoir, path) -> None:
+    """Serialize spec and weights so that loading reproduces bit-identical dynamics."""
+    write_archive(path, _RESERVOIR_SCHEMA, res)
+
+
+def load_reservoir(path) -> Reservoir:
+    return read_archive(path, _RESERVOIR_SCHEMA)[0]

@@ -21,13 +21,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DimensionMismatchError,
-    SchemaMismatchError,
-    SingularSystemError,
-    TooShortError,
-)
-from .reservoir import Reservoir, drive_open_loop, write_npz_deterministic
+from .errors import DimensionMismatchError, SingularSystemError, TooShortError
+from .reservoir import Reservoir, drive_open_loop, read_archive, write_archive
 from .timeseries import (
     Standardizer,
     TimeSeries,
@@ -223,43 +218,13 @@ _MODEL_SCHEMA = "rcbasin-model-1"
 
 def save_model(path, res: Reservoir, readout: Readout) -> None:
     """Persist the trained bundle (reservoir spec + weights + readout) in one file."""
-    if res.spec is None:
-        raise ValueError("only reservoirs built from a ReservoirSpec can be bundled")
-    from .reservoir import _spec_to_array
-
-    arrays = {
-        "schema": np.array(_MODEL_SCHEMA),
-        "spec": _spec_to_array(res.spec),
-        "w_r_data": res.w_r.data,
-        "w_r_indices": res.w_r.indices,
-        "w_r_indptr": res.w_r.indptr,
-        "w_in": res.w_in,
-        "bias": res.bias,
-        "w_out": readout.w_out,
-        "shift": readout.standardizer.shift,
-        "scale": readout.standardizer.scale,
-        "n_fit": np.array(readout.n_fit),
-    }
-    write_npz_deterministic(path, arrays)
+    write_archive(path, _MODEL_SCHEMA, res, w_out=readout.w_out,
+                  shift=readout.standardizer.shift, scale=readout.standardizer.scale,
+                  n_fit=np.array(readout.n_fit))
 
 
 def load_model(path) -> tuple[Reservoir, Readout]:
-    from scipy import sparse
-
-    from .reservoir import _spec_from_array
-
-    with np.load(path, allow_pickle=False) as archive:
-        if str(archive["schema"]) != _MODEL_SCHEMA:
-            raise SchemaMismatchError(f"unexpected model schema {archive['schema']}")
-        spec = _spec_from_array(archive["spec"])
-        w_r = sparse.csr_matrix(
-            (archive["w_r_data"], archive["w_r_indices"], archive["w_r_indptr"]),
-            shape=(spec.n_r, spec.n_r),
-        )
-        res = Reservoir(w_r, archive["w_in"], archive["bias"], spec.leakage, spec=spec)
-        readout = Readout(
-            w_out=archive["w_out"],
-            standardizer=Standardizer(archive["shift"], archive["scale"]),
-            n_fit=int(archive["n_fit"]),
-        )
-    return res, readout
+    res, arrays = read_archive(path, _MODEL_SCHEMA, ("w_out", "shift", "scale", "n_fit"))
+    return res, Readout(w_out=arrays["w_out"],
+                        standardizer=Standardizer(arrays["shift"], arrays["scale"]),
+                        n_fit=int(arrays["n_fit"]))

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from rcbasin.errors import DimensionMismatchError, NonFiniteError
+from rcbasin.errors import DimensionMismatchError, NonFiniteError, SchemaMismatchError
 from rcbasin.reservoir import (
     Reservoir,
     ReservoirSpec,
@@ -17,7 +19,12 @@ from rcbasin.reservoir import (
     synchronize,
 )
 from rcbasin.timeseries import Standardizer, TimeSeries
-from rcbasin.training import Readout, TrainConfig, train
+from rcbasin.training import Readout, TrainConfig, load_model, save_model, train
+
+#: Digests of the archives written for :func:`archived_reservoir` by the
+#: separate reservoir and model codecs before they were merged.
+RESERVOIR_SHA256 = "0ccc33eda663f88b10577e852bbbe9817ee0a3071a0c6e2022e5500d6041d74a"
+MODEL_SHA256 = "5d92aabc058eab0c00194e7f73326354ce19b2f59eed45e20ee2605046bb4074"
 
 
 def small_spec(**kw):
@@ -240,3 +247,124 @@ class TestSerialization:
         save_reservoir(res, p1)
         save_reservoir(res, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def kernel_case(n_in, leakage):
+    res = build_reservoir(small_spec(n_r=80, n_in=n_in, leakage=leakage, seed=n_in))
+    rng = np.random.default_rng(31 + n_in)
+    ro = Readout(w_out=rng.standard_normal((n_in, res.n_r)) * 0.05,
+                 standardizer=Standardizer(rng.standard_normal(n_in), 1.0 + rng.random(n_in)),
+                 n_fit=1)
+    return res, ro, rng.standard_normal((40, n_in)), rng.uniform(-0.5, 0.5, res.n_r)
+
+
+class TestSingleRunIsBatchOfOne:
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    def test_open_loop(self, n_in, leakage):
+        res, _, signal, r0 = kernel_case(n_in, leakage)
+        single = drive_open_loop(res, signal, r0)
+        batch = drive_open_loop_batch(res, signal[None], r0[None])
+        assert batch.shape == (1, res.n_r)
+        assert np.array_equal(batch[0], single[-1])
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    def test_closed_loop(self, n_in, leakage):
+        res, ro, _, r0 = kernel_case(n_in, leakage)
+        single = run_closed_loop(res, ro, r0, 60).values
+        batch = run_closed_loop_batch(res, ro, r0[None], 60)
+        tail = run_closed_loop_batch(res, ro, r0[None], 60, keep_last=7)
+        assert batch.shape == (1, 60, n_in) and tail.shape == (1, 7, n_in)
+        assert np.array_equal(batch[0], single)
+        assert np.array_equal(tail[0], single[-7:])
+
+
+class TestBatchValidation:
+    def setup_method(self):
+        self.res = build_reservoir(small_spec(n_r=20))
+        self.ro = identity_readout(np.zeros((1, 20)), 1)
+        self.inputs = np.zeros((3, 5, 1))
+
+    @pytest.mark.parametrize("shape", [(3, 21), (2, 20), (20,), (3, 20, 1)])
+    def test_open_loop_start_shape(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            drive_open_loop_batch(self.res, self.inputs, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(20,), (3, 19), (3, 20, 1), ()])
+    def test_closed_loop_start_shape(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            run_closed_loop_batch(self.res, self.ro, np.zeros(shape), 4)
+
+    def test_single_closed_loop_start_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            run_closed_loop(self.res, self.ro, np.zeros((1, 20)), 4)
+
+    @pytest.mark.parametrize("w_shape", [(2, 20), (1, 21)])
+    def test_readout_shape(self, w_shape):
+        # a 2-output readout on a 1-input reservoir, and a readout for another n_r
+        ro = Readout(w_out=np.zeros(w_shape), standardizer=Standardizer.identity(w_shape[0]),
+                     n_fit=1)
+        with pytest.raises(DimensionMismatchError):
+            run_closed_loop_batch(self.res, ro, np.zeros((3, 20)), 4)
+        with pytest.raises(DimensionMismatchError):
+            run_closed_loop(self.res, ro, np.zeros(20), 4)
+
+
+class TestClosedLoopDivergence:
+    def setup_method(self):
+        # frozen-input leaky pair ramping toward tanh(5): the output 1e308 * (r_a + r_b)
+        # stays finite for steps 0-3 and overflows at step 4
+        self.res = hand_reservoir(np.zeros((2, 2)), np.zeros((2, 1)), [5.0, 5.0],
+                                  leakage=0.5)
+        self.ro = identity_readout(np.full((1, 2), 1e308), 1)
+
+    def test_single_run_raises_mid_run(self):
+        with pytest.raises(NonFiniteError, match="step 4"):
+            run_closed_loop(self.res, self.ro, np.zeros(2), 10)
+        assert np.all(np.isfinite(run_closed_loop(self.res, self.ro, np.zeros(2), 4).values))
+
+    def test_batch_keeps_divergence_in_its_column(self):
+        out = run_closed_loop_batch(self.res, self.ro, np.zeros((1, 2)), 10)
+        assert np.all(np.isfinite(out[0, :4])) and not np.any(np.isfinite(out[0, 4:]))
+
+
+def archived_reservoir():
+    """Fixed weights with a spec attached, so the bytes do not hinge on an eigensolve."""
+    spec = small_spec(n_r=6, n_in=2, leakage=0.7, seed=11)
+    grid = np.linspace(-1.0, 1.0, 36).reshape(6, 6)
+    w_r = np.where(np.arange(36).reshape(6, 6) % 5 == 0, grid, 0.0)
+    return Reservoir(sparse.csr_matrix(w_r), np.linspace(-1.0, 1.0, 12).reshape(6, 2),
+                     np.linspace(-0.5, 0.5, 6), spec.leakage, spec=spec)
+
+
+class TestArchiveBytes:
+    """Archive bytes pinned when the reservoir and model codecs were merged."""
+
+    def test_reservoir_archive(self, tmp_path):
+        path = tmp_path / "reservoir.npz"
+        save_reservoir(archived_reservoir(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == RESERVOIR_SHA256
+
+    def test_model_bundle(self, tmp_path):
+        res = archived_reservoir()
+        ro = Readout(w_out=np.linspace(-1.0, 1.0, 12).reshape(2, 6),
+                     standardizer=Standardizer(np.array([0.5, -1.0]), np.array([2.0, 3.0])),
+                     n_fit=123)
+        path = tmp_path / "model.npz"
+        save_model(path, res, ro)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_SHA256
+        back, ro_back = load_model(path)
+        assert np.array_equal(back.w_r.toarray(), res.w_r.toarray())
+        assert back.spec == res.spec and ro_back.n_fit == 123
+        assert np.array_equal(ro_back.standardizer.scale, [2.0, 3.0])
+
+    def test_schemas_not_interchangeable(self, tmp_path):
+        res_path, model_path = tmp_path / "reservoir.npz", tmp_path / "model.npz"
+        save_reservoir(archived_reservoir(), res_path)
+        with pytest.raises(SchemaMismatchError):
+            load_model(res_path)
+        ro = identity_readout(np.zeros((2, 6)), 2)
+        save_model(model_path, archived_reservoir(), ro)
+        with pytest.raises(SchemaMismatchError):
+            load_reservoir(model_path)
