@@ -310,8 +310,10 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
 
     Candidates are drawn and examined in a fixed order, so the accepted set
     depends only on the generator state, not on the block size or the
-    parallelism degree; fixed-step systems integrate candidate blocks as one
-    ensemble, adaptive ones farm block members out to worker processes.
+    parallelism degree.  Fixed-step systems integrate candidate blocks as
+    one ensemble.  Adaptive ones integrate candidates one at a time and
+    stop at the last acceptance needed, or, with ``parallel > 1``, farm
+    the whole block out to worker processes.
 
     Raises :class:`SamplingExhaustedError` once the attempt cap
     (``max_attempt_factor * n_train``) is reached.
@@ -353,8 +355,9 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
                         _candidate_trajectory, itertools.repeat(cfg), ics,
                         itertools.repeat(n_steps)))
                 else:
-                    trajectories = [integrate_truth(cfg, sys, ic, n_steps)
-                                    for ic in ics]
+                    # lazily, so integration stops at the last acceptance
+                    trajectories = (integrate_truth(cfg, sys, ic, n_steps)
+                                    for ic in ics)
             else:
                 ensemble = rk4_ensemble(sys, ics, cfg.dt, n_steps)
                 trajectories = [ensemble[:, i, :] for i in range(block)]

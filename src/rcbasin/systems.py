@@ -190,8 +190,19 @@ def magnet_distances(x, y) -> np.ndarray:
     return np.sqrt(dx**2 + dy**2 + _PEND_HEIGHT**2)
 
 
+#: Magnet coordinates as Python floats, for the single-state field.
+(_MX0, _MY0), (_MX1, _MY1), (_MX2, _MY2) = _PEND_MAGNETS.tolist()
+
+
 def _pendulum_field(state):
+    """Pendulum flow on states of shape (..., 4).
+
+    A single state, the shape the adaptive integrator passes, takes a path
+    in Python floats that is bit-identical to the batched numpy path.
+    """
     state = np.asarray(state, dtype=float)
+    if state.shape == (4,):
+        return _pendulum_field_point(*state.tolist())
     x, y = state[..., 0], state[..., 1]
     vx, vy = state[..., 2], state[..., 3]
     dx = _PEND_MAGNETS[:, 0] - x[..., None]
@@ -200,6 +211,22 @@ def _pendulum_field(state):
     ax = -_PEND_OMEGA0**2 * x - _PEND_GAMMA * vx + np.sum(dx * inv_d3, axis=-1)
     ay = -_PEND_OMEGA0**2 * y - _PEND_GAMMA * vy + np.sum(dy * inv_d3, axis=-1)
     return np.stack([vx, vy, ax, ay], axis=-1)
+
+
+def _pendulum_field_point(x, y, vx, vy):
+    """The batched field's operations, in its order, on one state."""
+    dx0, dx1, dx2 = _MX0 - x, _MX1 - x, _MX2 - x
+    dy0, dy1, dy2 = _MY0 - y, _MY1 - y, _MY2 - y
+    h2 = _PEND_HEIGHT**2
+    # numpy's SIMD power is not libm's pow and differs from Python's ** in
+    # the last bit, so the power stays one numpy call
+    i0, i1, i2 = (np.array([dx0 * dx0 + dy0 * dy0 + h2,
+                            dx1 * dx1 + dy1 * dy1 + h2,
+                            dx2 * dx2 + dy2 * dy2 + h2]) ** -1.5).tolist()
+    # np.sum adds from +0.0, left to right
+    ax = -_PEND_OMEGA0**2 * x - _PEND_GAMMA * vx + (0.0 + dx0 * i0 + dx1 * i1 + dx2 * i2)
+    ay = -_PEND_OMEGA0**2 * y - _PEND_GAMMA * vy + (0.0 + dy0 * i0 + dy1 * i1 + dy2 * i2)
+    return np.array([vx, vy, ax, ay])
 
 
 @lru_cache(maxsize=1)

@@ -92,7 +92,8 @@ class NormalAccumulator:
     Holds yrt = sum of target x state outer products (n_in x n_r), rrt =
     sum of state outer products (n_r x n_r, kept numerically symmetric),
     the pair count, and the sum of squared targets (for residual reports).
-    Accumulation is associative, so batches may be merged in any order.
+    Batches may be accumulated, or accumulators merged, in any order; the
+    floating-point sums then agree up to rounding, not bit for bit.
     """
 
     def __init__(self, n_r: int, n_in: int):

@@ -139,6 +139,47 @@ class TestGenerateTrainingSet:
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
 
+class TestLazyAdaptiveSampling:
+    """Serial adaptive sampling integrates no candidate past the last acceptance."""
+
+    @staticmethod
+    def config():
+        # labels of the first block: 1 first at candidates 4, 5, 6 and 9
+        return default_config("duffing", adaptive_truth=True, observe=(0, 1),
+                              n_train=4, restrict_to_basin=1, reject_horizon=1000,
+                              train_sig_len=200)
+
+    def test_stops_at_last_acceptance(self, monkeypatch):
+        cfg = self.config()
+        calls = []
+        integrate = experiment_mod.integrate_adaptive
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "integrate_adaptive", counting)
+        signals = generate_training_set(cfg)
+        block = experiment_mod._REJECT_BLOCK
+        candidates = np.random.default_rng(cfg.seed_sampling).uniform(
+            -cfg.train_half_width, cfg.train_half_width, size=(block, 2))
+        starts = np.array([s.values[0] for s in signals])
+        picked = [int(np.argmin(np.abs(candidates - x).sum(axis=1))) for x in starts]
+        assert np.allclose(candidates[picked], starts, rtol=0.0, atol=1e-12)
+        assert len(signals) == cfg.n_train
+        assert picked == sorted(picked) and picked[-1] + 1 < block
+        assert len(calls) == picked[-1] + 1
+        assert np.array_equal(np.array(calls), candidates[:len(calls)])
+
+    def test_serial_equals_pool(self):
+        cfg = self.config()
+        serial = generate_training_set(cfg)
+        pooled = generate_training_set(cfg, parallel=2)
+        assert len(serial) == len(pooled) == cfg.n_train
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a.values, b.values)
+
+
 class TestRunBasinExperiment:
     def test_easy_regime_high_accuracy(self, wells_map):
         # all four basins trained, decoupled dynamics: nearly everything lands

@@ -118,6 +118,64 @@ class TestMagneticPendulum:
         assert np.all(offsets > 1e-3) and np.all(offsets < 0.05)
 
 
+class TestPendulumFieldPaths:
+    """A single state takes its own path; it must equal the batched one bit for bit."""
+
+    @staticmethod
+    def assert_rows_match(states):
+        field = magnetic_pendulum().vector_field
+        states = np.ascontiguousarray(states, dtype=float)
+        with np.errstate(all="ignore"):
+            whole = field(states)
+            rows = np.array([field(state) for state in states])
+        assert whole.shape == rows.shape == states.shape
+        assert np.array_equal(rows.view(np.uint64), whole.view(np.uint64))
+
+    def test_random_states(self):
+        rng = np.random.default_rng(0)
+        self.assert_rows_match(rng.uniform(-2.0, 2.0, size=(10_000, 4)))
+
+    def test_states_near_each_magnet(self):
+        rng = np.random.default_rng(1)
+        magnets = magnetic_pendulum().params["magnets"]
+        blocks = []
+        for mx, my in magnets:
+            near = rng.uniform(-1e-3, 1e-3, size=(500, 4))
+            near[:, 0] += mx
+            near[:, 1] += my
+            blocks += [near, [[mx, my, 0.0, 0.0]]]
+        self.assert_rows_match(np.vstack(blocks))
+
+    def test_equilibria(self):
+        self.assert_rows_match(magnetic_pendulum().attractor_locations())
+
+    def test_large_velocities_and_positions(self):
+        rng = np.random.default_rng(2)
+        states = rng.uniform(-2.0, 2.0, size=(600, 4))
+        states[:200, 2:] *= 10.0 ** rng.integers(3, 300, size=(200, 2))
+        states[200:400, :2] *= 10.0 ** rng.integers(3, 300, size=(200, 2))
+        states[400:] *= 10.0 ** rng.integers(3, 300, size=(200, 1))
+        self.assert_rows_match(states)
+
+    def test_non_finite_rows(self):
+        values = (np.nan, np.inf, -np.inf, 0.0, 0.3)
+        rows = [[a, b, c, d] for a in values for b in values
+                for c in values[:3] for d in values[2:]]
+        self.assert_rows_match(rows)
+
+    def test_single_state_result_is_fresh(self):
+        field = magnetic_pendulum().vector_field
+        state = np.array([0.3, -0.2, 0.1, 0.4])
+        out = field(state)
+        assert out.shape == (4,) and out.dtype == np.float64
+        assert out.flags.writeable and not np.shares_memory(out, state)
+        expected = out.copy()
+        out[:] = 0.0
+        assert np.array_equal(field(state), expected)
+        assert np.array_equal(field([0.3, -0.2, 0.1, 0.4]), expected)
+        assert np.array_equal(field([0, 0, 0, 0]), field(np.zeros(4)))
+
+
 class TestMultistableLorenz:
     def test_field_at_origin(self):
         sys = multistable_lorenz()

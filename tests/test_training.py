@@ -103,6 +103,44 @@ class TestAccumulator:
             acc.accumulate(np.zeros((3, 4)), np.zeros((2, 1)))
 
 
+class TestMerge:
+    @staticmethod
+    def halves(seed=4, rows=100):
+        rng = np.random.default_rng(seed)
+        states = rng.standard_normal((rows, 6))
+        targets = rng.standard_normal((rows, 2))
+        half = rows // 2
+        first = NormalAccumulator(6, 2).accumulate(states[:half], targets[:half])
+        second = NormalAccumulator(6, 2).accumulate(states[half:], targets[half:])
+        whole = NormalAccumulator(6, 2).accumulate(states, targets)
+        return first, second, whole
+
+    def test_halves_match_one_accumulation(self):
+        first, second, whole = self.halves()
+        merged = first.merge(second)
+        assert merged is first
+        for name in ("rrt", "yrt"):
+            diff = getattr(merged, name) - getattr(whole, name)
+            assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(getattr(whole, name))
+        assert merged.target_sq == pytest.approx(whole.target_sq, rel=1e-12)
+        assert merged.n_fit == whole.n_fit
+
+    def test_counts_add_exactly(self):
+        first, second, _ = self.halves(rows=37)
+        n_fit, target_sq = first.n_fit + second.n_fit, first.target_sq + second.target_sq
+        first.merge(second)
+        assert first.n_fit == n_fit == 37
+        assert first.target_sq == target_sq
+
+    @pytest.mark.parametrize("shape", [(5, 2), (6, 1), (4, 3)])
+    def test_shape_mismatch(self, shape):
+        acc = NormalAccumulator(6, 2)
+        with pytest.raises(DimensionMismatchError):
+            acc.merge(NormalAccumulator(*shape))
+        with pytest.raises(DimensionMismatchError):
+            NormalAccumulator(*shape).merge(acc)
+
+
 class TestSolveReadout:
     def test_identity_when_targets_equal_states(self):
         rng = np.random.default_rng(4)
