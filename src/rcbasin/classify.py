@@ -374,20 +374,26 @@ def score(outcomes: Sequence[BasinOutcome], truth: Sequence[int]) -> BasinMetric
                         f_unresolved=f_unresolved, per_basin=tuple(per_basin))
 
 
+def nearest_attractor(ends: np.ndarray, sys: SystemDef,
+                      components: Sequence[int]) -> np.ndarray:
+    """Index of the fixed point nearest each row of ``ends``.
+
+    ``ends`` is (m, len(components)) states; distances are squared
+    Euclidean in those components of the attractor locations.  Ties break
+    to the lowest attractor index.
+    """
+    if any(a.kind != FIXED_POINT for a in sys.attractors):
+        raise ValueError("baseline requires fixed-point attractors")
+    diff = ends[:, None, :] - sys.attractor_locations(components)[None, :, :]
+    return np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
+
+
 def nearest_magnet_baseline(test_signals: Sequence[TimeSeries],
                             sys: SystemDef) -> np.ndarray:
     """Guess the attractor nearest the state at the end of each test signal.
 
     Distances are taken in the observed components (the leading state
-    components carried by the signals).  Ties break to the lowest attractor
-    index.
+    components carried by the signals), by :func:`nearest_attractor`.
     """
-    if any(a.kind != FIXED_POINT for a in sys.attractors):
-        raise ValueError("baseline requires fixed-point attractors")
-    width = test_signals[0].n_components
-    locations = sys.attractor_locations(range(width))
-    labels = np.empty(len(test_signals), dtype=int)
-    for i, signal in enumerate(test_signals):
-        end = signal.values[-1]
-        labels[i] = int(np.argmin(np.linalg.norm(locations - end, axis=1)))
-    return labels
+    ends = np.array([signal.values[-1] for signal in test_signals])
+    return nearest_attractor(ends, sys, range(test_signals[0].n_components))

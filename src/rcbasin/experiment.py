@@ -53,6 +53,10 @@ from .training import TrainConfig, train
 #: Cells processed per batch; fixed so numerics do not depend on parallelism.
 CELL_CHUNK = 512
 
+#: Adaptive truth cells per pool task.  Those cells are integrated one at a
+#: time, so a smaller unit changes no result and keeps every worker busy.
+_ADAPTIVE_TRUTH_CHUNK = 32
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -273,11 +277,13 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray,
                            parallel: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """True labels plus observed test prefixes for every initial condition.
 
-    Work proceeds in fixed chunks of :data:`CELL_CHUNK` cells; with
-    ``parallel > 1`` chunks are farmed out to worker processes.  Results are
-    identical for any degree because cells never interact.
+    Work proceeds in fixed chunks of :data:`CELL_CHUNK` cells
+    (``_ADAPTIVE_TRUTH_CHUNK`` for adaptive truth); with ``parallel > 1``
+    chunks are farmed out to worker processes.  Results are identical for
+    any degree because cells never interact.
     """
-    chunks = [ics[lo:lo + CELL_CHUNK] for lo in range(0, ics.shape[0], CELL_CHUNK)]
+    size = _ADAPTIVE_TRUTH_CHUNK if cfg.adaptive_truth else CELL_CHUNK
+    chunks = [ics[lo:lo + size] for lo in range(0, ics.shape[0], size)]
     if parallel > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_truth_chunk, itertools.repeat(cfg), chunks))
@@ -455,12 +461,8 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
             outcomes.append(make_outcome(label, int(labels[lo + i])))
 
     metrics = score(outcomes, labels)
-    baseline = None
-    if not chaotic:
-        locations = sys.attractor_locations(cfg.observe)
-        ends = prefixes[:, -1, :]
-        diff = ends[:, None, :] - locations[None, :, :]
-        baseline = np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
+    baseline = (None if chaotic
+                else _classify.nearest_attractor(prefixes[:, -1, :], sys, cfg.observe))
     provenance = {
         "schema": _MAP_SCHEMA,
         "config_hash": config_hash(cfg),

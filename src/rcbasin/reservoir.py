@@ -9,7 +9,8 @@ advance by
 either driven by an external signal (open loop) or by the trained readout's
 own output (closed loop).  One kernel runs it for single runs and for batches
 evolved in lock step as the columns of one state array (columns never
-interact).  The weight archive written here also carries model bundles.
+interact); a step allocates only its sparse product.  The weight archive
+written here also carries model bundles.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ DENSE_EIG_MAX = 300
 
 _ARPACK_TOL = 1e-10
 _ARPACK_MAXITER = 10_000
+
+#: Entries of the n_r x n_r mask and weight draws held at once while
+#: building (8 MB of float64): one block up to n_r = 1024.
+_BUILD_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,29 @@ def estimate_spectral_radius(w: sparse.spmatrix, seed: int = 0) -> float:
         raise
 
 
+def _draw_adjacency(rng: np.random.Generator, n: int, p: float) -> sparse.csr_matrix:
+    """The n x n mask (``random() < p``) and then the n x n uniform weights.
+
+    Both are drawn in blocks of whole rows, at most :data:`_BUILD_ENTRIES`
+    entries (or one row): the generator emits them in sequence, so the
+    stream, and the matrix, equal one n x n draw of each, at
+    O(_BUILD_ENTRIES + n + nnz) memory.  Exact-zero weights are dropped, as
+    ``csr_matrix`` does with a dense array.
+    """
+    rows = max(1, _BUILD_ENTRIES // n)
+    sizes = [min(rows, n - lo) * n for lo in range(0, n, rows)]
+    offsets = np.cumsum([0] + sizes[:-1])
+    # row-major positions, first within each block, then in the whole matrix
+    hits = [np.flatnonzero(rng.random(size) < p) for size in sizes]
+    data = np.concatenate([rng.uniform(-1.0, 1.0, size=size)[h]
+                           for size, h in zip(sizes, hits)])
+    flat = np.concatenate([h + off for off, h in zip(offsets, hits)])
+    keep = data != 0.0
+    flat, data = flat[keep], data[keep]
+    indptr = np.searchsorted(flat, np.arange(n + 1) * n)
+    return sparse.csr_matrix((data, flat % n, indptr), shape=(n, n))
+
+
 def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     """Draw the random weight triple and rescale w_r to the target radius.
 
@@ -157,10 +185,7 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n_r
-
-    mask = rng.random((n, n)) < spec.mean_degree / n
-    weights = rng.uniform(-1.0, 1.0, size=(n, n))
-    w_r = sparse.csr_matrix(np.where(mask, weights, 0.0))
+    w_r = _draw_adjacency(rng, n, spec.mean_degree / n)
 
     if spec.spectral_radius == 0.0:
         w_r = sparse.csr_matrix((n, n))
@@ -177,6 +202,25 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     return Reservoir(w_r, w_in, bias, spec.leakage, spec=spec)
 
 
+def _fold_input_and_bias(res: Reservoir) -> sparse.csr_matrix:
+    """``[w_r | w_in | bias]`` of a one-input reservoir, as CSR with explicit zeros.
+
+    Row i holds w_r's entries in their order, then ``w_in[i, 0]`` and
+    ``bias[i]``.  The sparse product sums each row in that order, so its
+    product with ``[r; u; 1]`` is ``(w_r r + w_in u) + bias`` bit for bit;
+    kept zeros still turn an infinite input into NaN.
+    """
+    w, n = res.w_r, res.n_r
+    indptr = w.indptr + 2 * np.arange(n + 1)
+    own = np.arange(w.nnz) + 2 * np.repeat(np.arange(n), np.diff(w.indptr))
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=w.indices.dtype)
+    data[own], indices[own] = w.data, w.indices
+    data[indptr[1:] - 2], indices[indptr[1:] - 2] = res.w_in[:, 0], n
+    data[indptr[1:] - 1], indices[indptr[1:] - 1] = res.bias, n + 1
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n + 2))
+
+
 def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
             inputs: np.ndarray | None = None, w_out: np.ndarray | None = None,
             keep_last: int | None = None) -> np.ndarray:
@@ -188,6 +232,17 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
     (default all) on a new first axis.  A non-finite value stays in its
     column, without a warning.  Single runs stay 1-d: scipy gives an (n_r, 1)
     column the same sparse product bits with about 3 us more overhead a step.
+
+    A step allocates only its sparse product; everything else works in
+    buffers allocated once per call.  ``x`` holds the state and, for one
+    input, the input and a row of ones below it, which the folded weights
+    of :func:`_fold_input_and_bias` turn into the input term and the bias
+    inside the sparse product.  ``term`` holds the input term of a wider
+    input and ``(1 - leakage) r``; ``u`` holds the closed-loop output.  At
+    leakage 1 the blend is skipped, so a non-finite start entry reaches the
+    next state only through ``w_r`` (the blend's ``0 * r`` made it NaN).
+    The caller's ``r`` and ``inputs`` are never written.  From step 1 on the
+    state is C-ordered, as the pipeline's start columns are.
     """
     if w_out is not None and n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -197,23 +252,45 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
     kept = n_steps if keep_last is None else min(keep_last, n_steps)
     first_kept = n_steps - kept
     records = np.empty((kept, res.n_r if w_out is None else res.n_in) + r.shape[1:])
-    bias = res.bias if r.ndim == 1 else res.bias[:, None]
-    lam = res.leakage
+    n, lam, fold = res.n_r, res.leakage, res.n_in == 1
+    x = np.empty((n + 2 * fold,) + r.shape[1:])
+    x[:n] = r
+    state = x[:n]
+    if fold:
+        w, u = _fold_input_and_bias(res), x[n:n + 1]
+        x[n + 1] = 1.0
+    else:
+        w, bias = res.w_r, (res.bias if r.ndim == 1 else res.bias[:, None])
+        if w_out is not None:
+            u = np.empty((res.n_in,) + r.shape[1:])
+    term = np.empty(r.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
             if w_out is None:
-                u = inputs[k]
+                if fold:
+                    u[...] = inputs[k]
+                else:
+                    # not copied: matmul may round by its operands' layout
+                    u = inputs[k]
             else:
-                u = w_out @ r
+                np.matmul(w_out, r, out=u)
                 if k >= first_kept:
                     records[k - first_kept] = u
                 if k + 1 == n_steps:
                     break
-            # two statements: as one expression this ran ~2x slower at (200, 512)
-            pre = res.w_r @ r + res.w_in @ u + bias
-            r = (1.0 - lam) * r + lam * np.tanh(pre)
+            pre = w @ x
+            if not fold:
+                pre += np.matmul(res.w_in, u, out=term)
+                pre += bias
+            if lam == 1.0:
+                np.tanh(pre, out=state)
+            else:
+                np.tanh(pre, out=pre)
+                pre *= lam
+                np.add(pre, np.multiply(state, 1.0 - lam, out=term), out=state)
+            r = state
             if w_out is None and k >= first_kept:
-                records[k - first_kept] = r
+                records[k - first_kept] = state
     return records
 
 

@@ -13,6 +13,7 @@ from rcbasin.classify import (
     kl_divergence,
     kl_divergence_safe,
     make_outcome,
+    nearest_attractor,
     nearest_magnet_baseline,
     score,
 )
@@ -325,3 +326,26 @@ class TestNearestMagnetBaseline:
         with pytest.raises(ValueError):
             nearest_magnet_baseline([TimeSeries(np.zeros((2, 3)), 0.02)],
                                     multistable_lorenz())
+
+
+class TestNearestAttractor:
+    def test_batch_equals_per_signal_baseline(self, pendulum):
+        ends = np.random.default_rng(12).uniform(-1.5, 1.5, size=(200, 2))
+        locations = pendulum.attractor_locations((0, 1))
+        batch = nearest_attractor(ends, pendulum, (0, 1))
+        singles = [nearest_magnet_baseline([TimeSeries(e[None, :], 0.02)], pendulum)[0]
+                   for e in ends]
+        # reference: a per-signal argmin of norms; random ends have no ties
+        norms = [np.argmin(np.linalg.norm(locations - e, axis=1)) for e in ends]
+        assert batch.tolist() == singles == norms
+        assert set(batch.tolist()) == {0, 1, 2}
+
+    def test_components_pick_location_axes(self, pendulum):
+        # observing only y: the end is compared with each magnet's y coordinate
+        locations = pendulum.attractor_locations((1,))
+        ends = locations + 1e-3
+        assert nearest_attractor(ends, pendulum, (1,)).tolist() == [0, 1, 2]
+
+    def test_rejects_chaotic(self, lorenz):
+        with pytest.raises(ValueError):
+            nearest_attractor(np.zeros((2, 3)), lorenz, (0, 1, 2))

@@ -180,6 +180,52 @@ class TestLazyAdaptiveSampling:
             assert np.array_equal(a.values, b.values)
 
 
+class TestAdaptiveTruthTasks:
+    """Adaptive truth goes to the pool in small fixed tasks, even on one chunk."""
+
+    @staticmethod
+    def config():
+        return default_config("duffing", adaptive_truth=True, resolution=9,
+                              horizon=600, n_test=10)
+
+    def test_single_chunk_grid_splits_into_tasks(self, monkeypatch):
+        tasks = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                jobs = list(zip(*iterables))
+                tasks.extend(len(chunk) for _, chunk in jobs)
+                return [fn(*job) for job in jobs]
+
+        cfg = self.config()
+        _, ics = make_grid(cfg)
+        assert ics.shape[0] <= experiment_mod.CELL_CHUNK
+        serial = truth_and_test_signals(cfg, ics)
+        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", RecordingPool)
+        pooled = truth_and_test_signals(cfg, ics, parallel=2)
+        assert tasks == [32, 32, 17]
+        assert np.array_equal(serial[0], pooled[0])
+        assert np.array_equal(serial[1], pooled[1])
+
+    def test_parallel_identical(self):
+        cfg = self.config()
+        _, ics = make_grid(cfg)
+        labels1, prefixes1 = truth_and_test_signals(cfg, ics, parallel=1)
+        labels2, prefixes2 = truth_and_test_signals(cfg, ics, parallel=2)
+        assert {0, 1} <= set(labels1.tolist())
+        assert np.array_equal(labels1, labels2)
+        assert np.array_equal(prefixes1, prefixes2)
+
+
 class TestRunBasinExperiment:
     def test_easy_regime_high_accuracy(self, wells_map):
         # all four basins trained, decoupled dynamics: nearly everything lands

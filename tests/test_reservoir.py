@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import rcbasin.reservoir as reservoir_mod
+
 from rcbasin.errors import DimensionMismatchError, NonFiniteError, SchemaMismatchError
 from rcbasin.reservoir import (
     Reservoir,
     ReservoirSpec,
+    _draw_adjacency,
+    _evolve,
     build_reservoir,
     drive_open_loop,
     drive_open_loop_batch,
@@ -368,3 +372,225 @@ class TestArchiveBytes:
         save_model(model_path, archived_reservoir(), ro)
         with pytest.raises(SchemaMismatchError):
             load_reservoir(model_path)
+
+
+def parent_evolve(res, r, n_steps, inputs=None, w_out=None, keep_last=None):
+    """Reference: the plain two-statement update loop the kernel must match bit for bit."""
+    kept = n_steps if keep_last is None else min(keep_last, n_steps)
+    first_kept = n_steps - kept
+    records = np.empty((kept, res.n_r if w_out is None else res.n_in) + r.shape[1:])
+    bias = res.bias if r.ndim == 1 else res.bias[:, None]
+    lam = res.leakage
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n_steps):
+            if w_out is None:
+                u = inputs[k]
+            else:
+                u = w_out @ r
+                if k >= first_kept:
+                    records[k - first_kept] = u
+                if k + 1 == n_steps:
+                    break
+            # two statements: as one expression this ran ~2x slower at (200, 512)
+            pre = res.w_r @ r + res.w_in @ u + bias
+            r = (1.0 - lam) * r + lam * np.tanh(pre)
+            if w_out is None and k >= first_kept:
+                records[k - first_kept] = r
+    return records
+
+
+def identity_case(n_in, leakage, columns, bias_strength=0.5, n_steps=30, order="C"):
+    """Reservoir, readout weights, inputs and start states as the kernel takes them.
+
+    Batched inputs are the (n_steps, n_in, m) strided view that
+    ``drive_open_loop_batch`` passes.  Batched start states are (n_r, m)
+    columns, C-ordered as the pipeline passes them (the transpose of
+    ``drive_open_loop_batch``'s result) or F-ordered as a C-ordered
+    (m, n_r) array gives them.
+    """
+    res = build_reservoir(small_spec(n_r=60, n_in=n_in, leakage=leakage,
+                                     bias_strength=bias_strength, seed=n_in))
+    rng = np.random.default_rng(10 * n_in + (columns or 0))
+    w_out = rng.standard_normal((n_in, res.n_r)) * 0.3
+    if columns is None:
+        return res, w_out, rng.standard_normal((n_steps, n_in)), rng.uniform(-1, 1, res.n_r)
+    inputs = rng.standard_normal((columns, n_steps, n_in)).transpose(1, 2, 0)
+    starts = np.asarray(rng.uniform(-1, 1, (columns, res.n_r)), order="F" if order == "C" else "C")
+    return res, w_out, inputs, starts.T
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestKernelIdentity:
+    """The in-place kernel gives the reference loop's bytes."""
+
+    @pytest.mark.parametrize("n_in", [1, 2, 3])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    @pytest.mark.parametrize("columns", [None, 1, 7])
+    @pytest.mark.parametrize("keep_last", [None, 1, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_open_and_closed_loop(self, n_in, leakage, columns, keep_last, order):
+        res, w_out, inputs, r0 = identity_case(n_in, leakage, columns, order=order)
+        assert_same_bytes(_evolve(res, r0, 30, inputs=inputs, keep_last=keep_last),
+                          parent_evolve(res, r0, 30, inputs=inputs, keep_last=keep_last))
+        assert_same_bytes(_evolve(res, r0, 30, w_out=w_out, keep_last=keep_last),
+                          parent_evolve(res, r0, 30, w_out=w_out, keep_last=keep_last))
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    @pytest.mark.parametrize("columns", [None, 7])
+    def test_signed_zeros(self, n_in, leakage, columns):
+        res, w_out, inputs, r0 = identity_case(n_in, leakage, columns, bias_strength=0.0)
+        inputs = np.where(np.arange(inputs.size).reshape(inputs.shape) % 2, 0.0, -0.0)
+        r0 = np.where(np.arange(r0.size).reshape(r0.shape) % 3, 0.0, -0.0)
+        for kw in ({"inputs": inputs}, {"w_out": w_out}):
+            new = _evolve(res, r0, 30, **kw)
+            assert_same_bytes(new, parent_evolve(res, r0, 30, **kw))
+            assert not np.any(new)
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    @pytest.mark.parametrize("columns", [None, 7])
+    def test_nan_start_closed_loop(self, n_in, leakage, columns):
+        res, w_out, _, r0 = identity_case(n_in, leakage, columns)
+        r0 = r0.copy()
+        r0[::4] = np.nan
+        if columns is not None:
+            r0[:, ::2] = np.nan
+        new = _evolve(res, r0, 30, w_out=w_out)
+        assert_same_bytes(new, parent_evolve(res, r0, 30, w_out=w_out))
+        assert np.isnan(new[1:]).all()
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("columns", [None, 7])
+    def test_nan_start_open_loop_leaky(self, n_in, columns):
+        res, _, inputs, r0 = identity_case(n_in, 0.3, columns)
+        r0 = r0.copy()
+        r0[::4] = np.nan
+        new = _evolve(res, r0, 30, inputs=inputs)
+        assert_same_bytes(new, parent_evolve(res, r0, 30, inputs=inputs))
+        assert np.isnan(new[:, ::4]).all()
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    def test_zero_input_weight_times_infinite_input(self, n_in, leakage):
+        # 0 * inf is NaN: a zero input weight must still meet an infinite input
+        w_in = np.tile([[0.0], [1.0], [-0.5]], (1, n_in))
+        res = hand_reservoir(0.3 * np.eye(3), w_in, [0.1, 0.0, -0.2], leakage=leakage)
+        inputs = np.array([[1.0] * n_in, [np.inf] * n_in, [-np.inf] * n_in, [2.0] * n_in])
+        w_out = np.full((n_in, 3), 1e308)
+        for kw in ({"inputs": inputs}, {"w_out": w_out}):
+            new = _evolve(res, np.ones(3), 4, **kw)
+            assert_same_bytes(new, parent_evolve(res, np.ones(3), 4, **kw))
+            assert np.isnan(new[-1]).any()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_full_update_forgets_nonfinite_start(self, bad):
+        # leakage 1 skips the blend: a start entry reaches the next state only
+        # through w_r, which is empty here.  The reference's 0 * r makes it NaN.
+        res = build_reservoir(small_spec(spectral_radius=0.0))
+        signal = np.random.default_rng(5).standard_normal((6, 1))
+        r0 = np.zeros(res.n_r)
+        r0[[0, 7]] = bad
+        new = _evolve(res, r0, 6, inputs=signal)
+        assert np.all(np.isfinite(new))
+        assert_same_bytes(new, _evolve(res, np.zeros(res.n_r), 6, inputs=signal))
+        assert np.isnan(parent_evolve(res, r0, 6, inputs=signal)[:, [0, 7]]).all()
+
+    def test_leaky_update_keeps_nonfinite_start(self):
+        res = build_reservoir(small_spec(spectral_radius=0.0, leakage=0.3))
+        r0 = np.zeros(res.n_r)
+        r0[3] = np.inf
+        new = _evolve(res, r0, 4, inputs=np.ones((4, 1)))
+        assert np.all(new[:, 3] == np.inf) and np.all(np.isfinite(np.delete(new, 3, axis=1)))
+
+
+class TestCallerArraysUntouched:
+    @staticmethod
+    def case(n_in, leakage):
+        res = build_reservoir(small_spec(n_r=40, n_in=n_in, leakage=leakage))
+        rng = np.random.default_rng(6)
+        ro = identity_readout(rng.standard_normal((n_in, 40)) * 0.1, n_in)
+        return res, ro, rng.uniform(-1, 1, (5, 40)), rng.standard_normal((5, 12, n_in))
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    def test_batches(self, n_in, order, leakage):
+        # an F-ordered (m, n_r) start is passed to the kernel as a view
+        res, ro, starts, inputs = self.case(n_in, leakage)
+        starts, inputs = np.asarray(starts, order=order), np.asarray(inputs, order=order)
+        before = starts.tobytes(), inputs.tobytes()
+        drive_open_loop_batch(res, inputs, starts)
+        run_closed_loop_batch(res, ro, starts, 12)
+        assert (starts.tobytes(), inputs.tobytes()) == before
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    def test_single_runs(self, n_in, leakage):
+        res, ro, starts, inputs = self.case(n_in, leakage)
+        r0, signal = starts[0].copy(), inputs[0].copy()
+        drive_open_loop(res, signal, r0)
+        run_closed_loop(res, ro, r0, 12)
+        _evolve(res, r0, 12, inputs=signal)
+        assert r0.tobytes() == starts[0].tobytes()
+        assert signal.tobytes() == inputs[0].tobytes()
+
+
+def dense_build(spec):
+    """Reference: the construction that drew the dense n_r x n_r arrays at once."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_r
+    mask = rng.random((n, n)) < spec.mean_degree / n
+    weights = rng.uniform(-1.0, 1.0, size=(n, n))
+    w_r = sparse.csr_matrix(np.where(mask, weights, 0.0))
+    w_r = w_r * (spec.spectral_radius / estimate_spectral_radius(w_r, seed=spec.seed))
+    w_in = rng.uniform(-spec.input_strength, spec.input_strength, size=(n, spec.n_in))
+    bias = rng.uniform(-spec.bias_strength, spec.bias_strength, size=n)
+    return Reservoir(w_r, w_in, bias, spec.leakage, spec=spec)
+
+
+class TestBlockedBuild:
+    @pytest.mark.parametrize("n", [1, 7, 50, 83])
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draw_equals_dense(self, n, rows_per_block, seed, monkeypatch):
+        monkeypatch.setattr(reservoir_mod, "_BUILD_ENTRIES", rows_per_block * n)
+        p = min(1.0, 5.0 / n)
+        rng = np.random.default_rng(seed)
+        dense = sparse.csr_matrix(np.where(rng.random((n, n)) < p,
+                                           rng.uniform(-1.0, 1.0, size=(n, n)), 0.0))
+        after_dense = rng.random(4)
+        rng = np.random.default_rng(seed)
+        blocked = _draw_adjacency(rng, n, p)
+        for name in ("data", "indices", "indptr"):
+            assert_same_bytes(getattr(blocked, name), getattr(dense, name))
+        assert_same_bytes(rng.random(4), after_dense)
+
+    def test_exact_zero_weight_dropped(self, monkeypatch):
+        monkeypatch.setattr(reservoir_mod, "_BUILD_ENTRIES", 6)
+
+        class Stream:
+            # every mask draw hits; the weight draw -1 + 2 * 0.5 is exactly 0
+            def random(self, size):
+                return np.zeros(size)
+
+            def uniform(self, low, high, size):
+                return low + (high - low) * np.full(size, 0.5)
+
+        w = _draw_adjacency(Stream(), 3, 0.5)
+        assert w.nnz == 0 and w.shape == (3, 3)
+
+    @pytest.mark.parametrize("n_r, seed", [(50, 0), (300, 1), (300, 2), (513, 3)])
+    @pytest.mark.parametrize("block_rows", [64, 1024])
+    def test_build_equals_dense_construction(self, n_r, seed, block_rows, monkeypatch):
+        monkeypatch.setattr(reservoir_mod, "_BUILD_ENTRIES", block_rows * n_r)
+        spec = small_spec(n_r=n_r, n_in=2, seed=seed)
+        blocked, dense = build_reservoir(spec), dense_build(spec)
+        for name in ("data", "indices", "indptr"):
+            assert_same_bytes(getattr(blocked.w_r, name), getattr(dense.w_r, name))
+        assert_same_bytes(blocked.w_in, dense.w_in)
+        assert_same_bytes(blocked.bias, dense.bias)
