@@ -14,25 +14,17 @@ import numpy as np
 
 from rcbasin.experiment import (
     default_config,
-    generate_training_set,
     make_grid,
-    reservoir_spec_from_config,
     system_from_config,
-    train_config_from_config,
+    train_from_config,
     truth_and_test_signals,
 )
-from rcbasin.reservoir import build_reservoir, drive_open_loop_batch, run_closed_loop_batch
-from rcbasin.timeseries import Standardizer
-from rcbasin.training import train
+from rcbasin.reservoir import drive_open_loop_batch, run_closed_loop_batch
 
 
 def corner_report(cfg, label):
     sys = system_from_config(cfg)
-    res = build_reservoir(reservoir_spec_from_config(cfg))
-    signals = generate_training_set(cfg, sys)
-    standardizer = None if cfg.standardize_inputs else Standardizer.identity(2)
-    readout = train(res, signals, train_config_from_config(cfg),
-                    standardizer=standardizer)
+    res, readout, _ = train_from_config(cfg, sys)
     _, ics = make_grid(cfg)
     _, prefixes = truth_and_test_signals(cfg, ics)
     states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefixes))

@@ -63,7 +63,6 @@ from .systems import (
     duffing,
     integrate_adaptive,
     integrate_rk4,
-    integrate_with_process_noise,
     magnetic_pendulum,
     make_system,
     multi_well,

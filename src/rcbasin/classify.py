@@ -31,6 +31,9 @@ CATEGORIES = (CORRECT, WRONG, SPURIOUS, UNRESOLVED)
 
 Label = Union[int, str]
 
+#: One trajectory, or an (m, n_samples, d) block of m trajectories.
+Trajectories = Union[TimeSeries, np.ndarray]
+
 
 @dataclass(frozen=True)
 class ConvergenceCriteria:
@@ -88,10 +91,33 @@ def make_outcome(predicted: Label, truth: int) -> BasinOutcome:
     return BasinOutcome(WRONG, attractor=int(predicted))
 
 
-def classify_fixed_point(traj: TimeSeries, sys: SystemDef, crit: ConvergenceCriteria,
+def _tail_block(traj: Trajectories, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Last ``n`` samples of each trajectory, as one private C-ordered copy.
+
+    ``traj`` is a :class:`TimeSeries` (a batch of one) or an (m, samples, d)
+    array of any memory layout.  Returns the (m, n, d) tails and which rows
+    are finite; non-finite rows are zeroed in the copy, so the vector tests
+    raise no floating-point warnings, and the callers report them
+    ``UNRESOLVED``.  The copy is C-ordered because numpy sums a contiguous
+    axis pairwise: tail means of an F-ordered block would differ in the last
+    bit from those of a single C-ordered trajectory.
+    """
+    x = traj.values[None] if isinstance(traj, TimeSeries) else np.asarray(traj, dtype=float)
+    if x.ndim != 3:
+        raise DimensionMismatchError(
+            f"expected a TimeSeries or an (m, n_samples, d) array, got shape {x.shape}")
+    if x.shape[1] < n:
+        raise ValueError(f"need at least {n} samples to classify")
+    tails = np.array(x[:, -n:], order="C")
+    finite = np.isfinite(tails).all(axis=(1, 2))
+    tails[~finite] = 0.0
+    return tails, finite
+
+
+def classify_fixed_point(traj: Trajectories, sys: SystemDef, crit: ConvergenceCriteria,
                          full_state: bool = False,
-                         components: Sequence[int] | None = None) -> Label:
-    """Decide which fixed-point attractor (if any) a trajectory reached.
+                         components: Sequence[int] | None = None) -> Label | list[Label]:
+    """Decide which fixed-point attractor (if any) each trajectory reached.
 
     The candidate is the attractor nearest the final point.  With the full
     state, a defined energy function, and a barrier level, convergence means
@@ -99,71 +125,70 @@ def classify_fixed_point(traj: TimeSeries, sys: SystemDef, crit: ConvergenceCrit
     ``tail_len`` samples must lie within ``eps_c`` of the candidate.  A tail
     that has settled (every sample within eps_c of the tail mean) farther
     than eps_c from every true attractor is reported as ``SPURIOUS``;
-    anything else is ``UNRESOLVED``.
+    anything else, a non-finite tail included, is ``UNRESOLVED``.
+
+    A :class:`TimeSeries` gets one label; an (m, n_samples, d) array gets a
+    list of m labels, each equal to that of the row as a TimeSeries.
 
     Args:
         components: State components carried by ``traj`` when it is a
             partial observation; defaults to the leading components.
     """
-    if traj.n_samples < crit.tail_len:
-        raise ValueError(f"need at least {crit.tail_len} samples to classify")
-    values = traj.values
+    tails, finite = _tail_block(traj, crit.tail_len)
+    width = tails.shape[2]
     if components is None:
-        components = tuple(range(values.shape[1]))
-    if len(components) != values.shape[1]:
+        components = tuple(range(width))
+    if len(components) != width:
         raise DimensionMismatchError("components must match trajectory width")
     locations = sys.attractor_locations(components)
 
-    tail = values[-crit.tail_len:]
-    if not np.all(np.isfinite(tail)):
-        return UNRESOLVED
-    end = values[-1]
-    candidate = int(np.argmin(np.linalg.norm(locations - end, axis=1)))
-
+    ends = tails[:, -1]
+    candidate = np.argmin(np.linalg.norm(locations - ends[:, None], axis=2), axis=1)
     use_energy = (full_state and sys.energy is not None
-                  and crit.energy_barrier is not None
-                  and values.shape[1] == sys.dim)
+                  and crit.energy_barrier is not None and width == sys.dim)
     if use_energy:
-        converged = bool(sys.energy(end) < crit.energy_barrier)
+        converged = sys.energy(ends) < crit.energy_barrier
     else:
-        converged = bool(
-            np.all(np.linalg.norm(tail - locations[candidate], axis=1) <= crit.eps_c))
-    if converged:
-        return candidate
+        gap = tails - locations[candidate][:, None]
+        converged = np.all(np.linalg.norm(gap, axis=2) <= crit.eps_c, axis=1)
+    center = tails.mean(axis=1)
+    settled = np.all(np.linalg.norm(tails - center[:, None], axis=2) <= crit.eps_c, axis=1)
+    far_from_all = np.all(np.linalg.norm(locations - center[:, None], axis=2) > crit.eps_c,
+                          axis=1)
+    converged &= finite
+    spurious = settled & far_from_all & finite
 
-    center = tail.mean(axis=0)
-    settled = np.all(np.linalg.norm(tail - center, axis=1) <= crit.eps_c)
-    far_from_all = np.all(np.linalg.norm(locations - center, axis=1) > crit.eps_c)
-    if settled and far_from_all:
-        return SPURIOUS
-    return UNRESOLVED
+    labels = [int(c) if conv else SPURIOUS if spur else UNRESOLVED
+              for c, conv, spur in zip(candidate, converged, spurious)]
+    return labels[0] if isinstance(traj, TimeSeries) else labels
 
 
-def classify_chaotic(traj: TimeSeries, refs: Sequence[AttractorDescriptor],
+def classify_chaotic(traj: Trajectories, refs: Sequence[AttractorDescriptor],
                      crit: ConvergenceCriteria,
-                     rng: np.random.Generator | None = None) -> Label:
-    """Assign a trajectory tail to the nearest reference attractor by divergence.
+                     rng: np.random.Generator | None = None) -> Label | list[Label]:
+    """Assign each trajectory tail to the nearest reference attractor by divergence.
 
     Computes the divergence of each reference distribution relative to the
     distribution of the last ``kl_tail`` samples and assigns the minimizer
-    when it falls below ``kl_threshold``.
+    when it falls below ``kl_threshold``; a non-finite tail is
+    ``UNRESOLVED``.  Like :func:`classify_fixed_point`, a
+    :class:`TimeSeries` gets one label and an (m, n_samples, d) array a
+    list of m labels.
     """
     if crit.kl_threshold is None:
         raise ValueError("criteria carry no kl_threshold")
-    if traj.n_samples < crit.kl_tail:
-        raise ValueError(f"need at least {crit.kl_tail} samples to classify")
-    tail = traj.values[-crit.kl_tail:]
-    if not np.all(np.isfinite(tail)):
-        return UNRESOLVED
-    divergences = []
-    for ref in refs:
-        if ref.kind != CHAOTIC:
-            raise ValueError("references must be chaotic attractors")
-        divergences.append(kl_divergence_safe(ref.reference, tail, rng=rng))
-    best = int(np.argmin(divergences))
-    if divergences[best] < crit.kl_threshold:
-        return best
-    return UNRESOLVED
+    tails, finite = _tail_block(traj, crit.kl_tail)
+    if any(ref.kind != CHAOTIC for ref in refs):
+        raise ValueError("references must be chaotic attractors")
+    labels: list[Label] = []
+    for tail, ok in zip(tails, finite):
+        if not ok:
+            labels.append(UNRESOLVED)
+            continue
+        divergences = [kl_divergence_safe(ref.reference, tail, rng=rng) for ref in refs]
+        best = int(np.argmin(divergences))
+        labels.append(best if divergences[best] < crit.kl_threshold else UNRESOLVED)
+    return labels[0] if isinstance(traj, TimeSeries) else labels
 
 
 def _log_mixture_density(queries: np.ndarray, centers: np.ndarray,

@@ -16,14 +16,14 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
-from . import classify, experiment, systems, training
+from . import classify, experiment, training
 from .errors import RcbasinError
 from .experiment import ExperimentConfig, default_config
-from .reservoir import build_reservoir, run_closed_loop, synchronize
+from .reservoir import run_closed_loop, synchronize
 from .timeseries import TimeSeries, write_csv
 
 
@@ -161,23 +161,14 @@ def cmd_simulate(cfg, parser, out: _OutputTracker) -> None:
     write_csv(series, out.path("trajectory.csv"))
     print(f"wrote trajectory.csv ({series.n_samples} samples)")
     print("final state:", " ".join(repr(v) for v in values[-1]))
-    if sys_def.attractors and sys_def.attractors[0].kind == systems.FIXED_POINT:
+    if not sys_def.chaotic:
         crit = experiment.criteria_from_config(cfg)
         _print_label(sys_def, classify.classify_fixed_point(series, sys_def, crit,
                                                             full_state=True))
 
 
 def cmd_train(cfg, parser, out: _OutputTracker) -> None:
-    sys_def = experiment.system_from_config(cfg)
-    res = build_reservoir(experiment.reservoir_spec_from_config(cfg))
-    signals = experiment.generate_training_set(cfg, sys_def)
-    standardizer = None
-    if not cfg.standardize_inputs:
-        from .timeseries import Standardizer
-        standardizer = Standardizer.identity(len(cfg.observe))
-    readout, mse = training.train_with_mse(res, signals,
-                                           experiment.train_config_from_config(cfg),
-                                           standardizer=standardizer)
+    res, readout, mse = experiment.train_from_config(cfg)
     training.save_model(out.path("model.npz"), res, readout)
     print(f"wrote model.npz (n_r={cfg.n_r}, spectral_radius={cfg.spectral_radius}, "
           f"input_strength={cfg.input_strength}, alpha={cfg.alpha}, eta={cfg.eta})")
@@ -204,7 +195,7 @@ def cmd_predict(cfg, parser, out: _OutputTracker, bundle: str) -> None:
     print(f"wrote test_signal.csv ({cfg.n_test} samples) and "
           f"prediction.csv ({n_pred} samples)")
     print("final predicted state:", " ".join(repr(v) for v in prediction.values[-1]))
-    if sys_def.attractors and sys_def.attractors[0].kind == systems.FIXED_POINT:
+    if not sys_def.chaotic:
         crit = experiment.criteria_from_config(cfg)
         _print_label(sys_def, classify.classify_fixed_point(
             prediction, sys_def, crit, components=cfg.observe))
@@ -294,16 +285,9 @@ def main(argv=None) -> int:
             cmd_render(args.map, out)
             return 0
         cfg, ini = read_config(args.config)
-        seed_overrides = {}
-        if args.seed_reservoir is not None:
-            seed_overrides["seed_reservoir"] = args.seed_reservoir
-        if args.seed_sampling is not None:
-            seed_overrides["seed_sampling"] = args.seed_sampling
-        if args.seed_noise is not None:
-            seed_overrides["seed_noise"] = args.seed_noise
-        if seed_overrides:
-            from dataclasses import replace
-            cfg = replace(cfg, **seed_overrides)
+        seeds = {name: getattr(args, name)
+                 for name in ("seed_reservoir", "seed_sampling", "seed_noise")}
+        cfg = replace(cfg, **{k: v for k, v in seeds.items() if v is not None})
         if args.command == "simulate":
             cmd_simulate(cfg, ini, out)
         elif args.command == "train":

@@ -23,14 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from . import classify as _classify
+from . import training as _training
 from .classify import (
     CORRECT,
     SPURIOUS,
-    UNRESOLVED,
     WRONG,
     BasinMetrics,
     BasinOutcome,
     ConvergenceCriteria,
+    Label,
     make_outcome,
     score,
 )
@@ -41,14 +42,15 @@ from .errors import (
     SchemaMismatchError,
 )
 from .reservoir import (
+    Reservoir,
     ReservoirSpec,
     build_reservoir,
     drive_open_loop_batch,
     run_closed_loop_batch,
 )
-from .systems import CHAOTIC, SystemDef, integrate_adaptive, make_system, rk4_ensemble
+from .systems import SystemDef, integrate_adaptive, make_system, rk4_ensemble
 from .timeseries import Standardizer, TimeSeries
-from .training import TrainConfig, train
+from .training import Readout, TrainConfig
 
 #: Cells processed per batch; fixed so numerics do not depend on parallelism.
 CELL_CHUNK = 512
@@ -241,35 +243,35 @@ def integrate_truth(cfg: ExperimentConfig, sys: SystemDef, ic: np.ndarray,
     return rk4_ensemble(sys, ic, cfg.dt, n_steps)[:, 0, :]
 
 
-def _label_full_trajectory(cfg: ExperimentConfig, sys: SystemDef,
-                           crit: ConvergenceCriteria, values: np.ndarray) -> int:
-    """True basin label of a fully observed trajectory; -1 when unresolved."""
-    if not np.all(np.isfinite(values)):
-        return -1
-    traj = TimeSeries(values, cfg.dt)
-    if sys.attractors and sys.attractors[0].kind == CHAOTIC:
-        label = _classify.classify_chaotic(traj, sys.attractors, crit)
-    else:
-        label = _classify.classify_fixed_point(traj, sys, crit, full_state=True)
-    return label if isinstance(label, int) else -1
+def _label_block(sys: SystemDef, crit: ConvergenceCriteria, block: np.ndarray,
+                 components: Sequence[int]) -> list[Label]:
+    """Classifier label of each trajectory in an (m, n, len(components)) block.
+
+    Fully observed trajectories qualify for the energy test.
+    """
+    if sys.chaotic:
+        return _classify.classify_chaotic(block, sys.attractors, crit)
+    return _classify.classify_fixed_point(block, sys, crit,
+                                          full_state=len(components) == sys.dim,
+                                          components=components)
 
 
 def _truth_chunk(cfg: ExperimentConfig, ics_chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and observed test prefixes for one chunk of grid cells."""
+    """Labels and observed test prefixes for one chunk of grid cells.
+
+    A label is -1 when the trajectory is unresolved or not finite.
+    """
     sys = system_from_config(cfg)
     crit = criteria_from_config(cfg)
-    m = ics_chunk.shape[0]
-    labels = np.empty(m, dtype=int)
-    prefixes = np.empty((m, cfg.n_test, len(cfg.observe)))
     if cfg.adaptive_truth:
-        trajectories = (integrate_truth(cfg, sys, ic, cfg.horizon - 1)
-                        for ic in ics_chunk)
+        block = np.stack([integrate_truth(cfg, sys, ic, cfg.horizon - 1)
+                          for ic in ics_chunk])
     else:
-        ensemble = rk4_ensemble(sys, ics_chunk, cfg.dt, cfg.horizon - 1)
-        trajectories = (ensemble[:, i, :] for i in range(m))
-    for i, values in enumerate(trajectories):
-        labels[i] = _label_full_trajectory(cfg, sys, crit, values)
-        prefixes[i] = values[:cfg.n_test][:, list(cfg.observe)]
+        block = rk4_ensemble(sys, ics_chunk, cfg.dt, cfg.horizon - 1).transpose(1, 0, 2)
+    labels = np.array([label if isinstance(label, int) else -1
+                       for label in _label_block(sys, crit, block, range(sys.dim))])
+    labels[~np.isfinite(block).all(axis=(1, 2))] = -1
+    prefixes = np.ascontiguousarray(block[:, :cfg.n_test, list(cfg.observe)])
     return labels, prefixes
 
 
@@ -329,11 +331,10 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
     if rng is None:
         rng = np.random.default_rng(cfg.seed_sampling)
     crit = criteria_from_config(cfg)
-    chaotic = bool(sys.attractors) and sys.attractors[0].kind == CHAOTIC
-    if cfg.restrict_to_basin is None:
+    if cfg.restrict_to_basin is None or sys.chaotic:
         n_steps = cfg.train_sig_len - 1
     else:
-        n_steps = cfg.train_sig_len - 1 if chaotic else cfg.reject_horizon
+        n_steps = cfg.reject_horizon
 
     signals: list[TimeSeries] = []
     attempts = 0
@@ -370,8 +371,8 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
             for values in trajectories:
                 attempts += 1
                 if cfg.restrict_to_basin is not None:
-                    label = _label_full_trajectory(cfg, sys, crit, values)
-                    if label != cfg.restrict_to_basin:
+                    label = _label_block(sys, crit, values[None], range(sys.dim))[0]
+                    if label != cfg.restrict_to_basin or not np.isfinite(values).all():
                         continue
                 keep = values[:cfg.train_sig_len][:, list(cfg.observe)]
                 signals.append(TimeSeries(keep, cfg.dt))
@@ -407,6 +408,23 @@ class BasinMap:
         return float(np.mean(self.baseline_labels == self.true_labels))
 
 
+def train_from_config(cfg: ExperimentConfig, sys: SystemDef | None = None,
+                      parallel: int = 1) -> tuple[Reservoir, Readout, float]:
+    """Build the reservoir, sample the training set and fit the readout.
+
+    Inputs are standardized unless ``standardize_inputs`` is off, in which
+    case the identity transform is used.  Returns ``(res, readout, mse)``
+    with the mean squared training error.
+    """
+    res = build_reservoir(reservoir_spec_from_config(cfg))
+    signals = generate_training_set(cfg, sys, parallel=parallel)
+    standardizer = (None if cfg.standardize_inputs
+                    else Standardizer.identity(len(cfg.observe)))
+    readout, mse = _training.train_with_mse(res, signals, train_config_from_config(cfg),
+                                            standardizer=standardizer)
+    return res, readout, mse
+
+
 def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
                          model=None) -> BasinMap:
     """Train a reservoir per the config and map the predicted basins.
@@ -414,11 +432,8 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
     ``model`` may carry a pre-trained (reservoir, readout) pair, in which
     case the training stage is skipped.
     """
-    if cfg.horizon <= cfg.n_test:
-        raise InvalidWindowError("horizon must exceed n_test")
     sys = system_from_config(cfg)
     crit = criteria_from_config(cfg)
-    chaotic = bool(sys.attractors) and sys.attractors[0].kind == CHAOTIC
 
     if model is not None:
         res, readout = model
@@ -427,41 +442,25 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
                 f"bundle expects {res.n_in} observed components, "
                 f"config observes {len(cfg.observe)}")
     else:
-        res = build_reservoir(reservoir_spec_from_config(cfg))
-        signals = generate_training_set(cfg, sys, parallel=parallel)
-        standardizer = (None if cfg.standardize_inputs
-                        else Standardizer.identity(len(cfg.observe)))
-        readout = train(res, signals, train_config_from_config(cfg),
-                        standardizer=standardizer)
+        res, readout, _ = train_from_config(cfg, sys, parallel=parallel)
 
     coords, ics = make_grid(cfg)
     labels, prefixes = truth_and_test_signals(cfg, ics, parallel=parallel)
 
     n_pred = cfg.horizon - cfg.n_test
-    needed_tail = min(n_pred, cfg.kl_tail if chaotic else cfg.tail_len)
+    needed_tail = min(n_pred, cfg.kl_tail if sys.chaotic else cfg.tail_len)
     outcomes: list[BasinOutcome] = []
     for lo in range(0, ics.shape[0], CELL_CHUNK):
         chunk = prefixes[lo:lo + CELL_CHUNK]
         standardized = readout.standardizer.apply_values(chunk)
         states = drive_open_loop_batch(res, standardized)
         tails = run_closed_loop_batch(res, readout, states, n_pred, keep_last=needed_tail)
-        for i in range(tails.shape[0]):
-            tail = tails[i]
-            if not np.all(np.isfinite(tail)):
-                outcomes.append(BasinOutcome(UNRESOLVED))
-                continue
-            traj = TimeSeries(tail, cfg.dt)
-            if chaotic:
-                label = _classify.classify_chaotic(traj, sys.attractors, crit)
-            else:
-                # fully observed forecasts qualify for the energy test too
-                label = _classify.classify_fixed_point(
-                    traj, sys, crit, full_state=len(cfg.observe) == sys.dim,
-                    components=cfg.observe)
-            outcomes.append(make_outcome(label, int(labels[lo + i])))
+        predicted = _label_block(sys, crit, tails, cfg.observe)
+        outcomes.extend(make_outcome(label, int(truth))
+                        for label, truth in zip(predicted, labels[lo:lo + CELL_CHUNK]))
 
     metrics = score(outcomes, labels)
-    baseline = (None if chaotic
+    baseline = (None if sys.chaotic
                 else _classify.nearest_attractor(prefixes[:, -1, :], sys, cfg.observe))
     provenance = {
         "schema": _MAP_SCHEMA,

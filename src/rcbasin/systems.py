@@ -74,6 +74,11 @@ class SystemDef:
     energy: Callable[[np.ndarray], np.ndarray] | None = None
     unstable_points: tuple = ()
 
+    @property
+    def chaotic(self) -> bool:
+        """Whether the attractors are chaotic, classified by divergence."""
+        return bool(self.attractors) and self.attractors[0].kind == CHAOTIC
+
     def attractor_locations(self, components: Sequence[int] | None = None) -> np.ndarray:
         """Stack fixed-point locations, optionally projected onto components."""
         locs = np.array([a.location for a in self.attractors])
@@ -418,27 +423,3 @@ def integrate_adaptive(sys: SystemDef, x0: np.ndarray, t_end: float,
     if not sol.success:
         raise StepSizeUnderflowError(f"adaptive integration failed: {sol.message}")
     return TimeSeries(sol.y.T, sample_dt)
-
-
-def integrate_with_process_noise(sys: SystemDef, x0: np.ndarray, dt: float, n: int,
-                                 eta_p: float, seed: int) -> TimeSeries:
-    """Euler-Maruyama path with additive white noise in every component.
-
-    x_{k+1} = x_k + f(x_k) dt + sqrt(dt) eta_p xi_k with standard normal
-    draws, independent per component and step.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if eta_p < 0.0:
-        raise ValueError("eta_p must be non-negative")
-    rng = np.random.default_rng(seed)
-    x = np.array(x0, dtype=float)
-    out = np.empty((n + 1, x.shape[0]))
-    out[0] = x
-    root_dt = np.sqrt(dt)
-    for k in range(n):
-        x = x + sys.vector_field(x) * dt + root_dt * eta_p * rng.standard_normal(x.shape)
-        out[k + 1] = x
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"noisy trajectory of {sys.name} overflowed")
-    return TimeSeries(out, dt)

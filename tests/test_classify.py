@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,10 @@ from rcbasin.classify import (
     _log_mixture_density,
     _log_mixture_density_blocked,
     _reference_side,
+    _tail_block,
 )
 from rcbasin.errors import DegenerateCloudError, DimensionMismatchError
-from rcbasin.systems import duffing, magnetic_pendulum, multistable_lorenz
+from rcbasin.systems import duffing, magnetic_pendulum, multi_well, multistable_lorenz
 from rcbasin.timeseries import TimeSeries
 
 DUFFING_CRIT = ConvergenceCriteria(eps_c=0.5, tail_len=25, energy_barrier=0.0)
@@ -349,3 +352,135 @@ class TestNearestAttractor:
     def test_rejects_chaotic(self, lorenz):
         with pytest.raises(ValueError):
             nearest_attractor(np.zeros((2, 3)), lorenz, (0, 1, 2))
+
+
+def parent_classify_fixed_point(values, sys, crit, full_state=False, components=None):
+    """The per-trajectory fixed-point classifier before batching, on the
+    C-ordered (n, d) values of one TimeSeries; the reference for the block
+    form."""
+    if components is None:
+        components = tuple(range(values.shape[1]))
+    locations = sys.attractor_locations(components)
+    tail = values[-crit.tail_len:]
+    if not np.all(np.isfinite(tail)):
+        return UNRESOLVED
+    end = values[-1]
+    candidate = int(np.argmin(np.linalg.norm(locations - end, axis=1)))
+    use_energy = (full_state and sys.energy is not None
+                  and crit.energy_barrier is not None
+                  and values.shape[1] == sys.dim)
+    if use_energy:
+        converged = bool(sys.energy(end) < crit.energy_barrier)
+    else:
+        converged = bool(
+            np.all(np.linalg.norm(tail - locations[candidate], axis=1) <= crit.eps_c))
+    if converged:
+        return candidate
+    center = tail.mean(axis=0)
+    settled = np.all(np.linalg.norm(tail - center, axis=1) <= crit.eps_c)
+    far_from_all = np.all(np.linalg.norm(locations - center, axis=1) > crit.eps_c)
+    if settled and far_from_all:
+        return SPURIOUS
+    return UNRESOLVED
+
+
+def random_tails(sys, width, rng, m=240, n=40):
+    """Rows that sit near an attractor, settle elsewhere, or wander, in the
+    leading ``width`` components, at several noise levels."""
+    locations = sys.attractor_locations(range(width))
+    near = rng.integers(0, 3, m) == 0
+    centers = np.where(near[:, None], locations[rng.integers(0, len(locations), m)],
+                       rng.uniform(-3.0, 3.0, (m, width)))
+    spread = rng.choice([0.01, 0.05, 0.2, 0.6, 3.0], m)
+    return centers[:, None, :] + spread[:, None, None] * rng.standard_normal((m, n, width))
+
+
+def read_only_layouts(x):
+    """``x`` as read-only C-ordered, F-ordered and strided blocks."""
+    blocks = (x.copy(), np.asfortranarray(x), np.repeat(x, 2, axis=2)[:, :, ::2])
+    for block in blocks:
+        block.flags.writeable = False
+    return blocks
+
+
+@pytest.fixture(scope="module")
+def fixed_point_systems(pendulum):
+    return {"duffing": (duffing(), DUFFING_CRIT),
+            "multi_well": (multi_well(), ConvergenceCriteria(eps_c=0.25)),
+            "magnetic_pendulum": (pendulum, ConvergenceCriteria(eps_c=0.25))}
+
+
+class TestBatchedClassifiers:
+    """An (m, n, d) block gets the labels of its rows classified one at a time."""
+
+    @pytest.mark.parametrize("name, width", [
+        ("duffing", 1), ("duffing", 2), ("multi_well", 1), ("multi_well", 2),
+        ("magnetic_pendulum", 1), ("magnetic_pendulum", 2), ("magnetic_pendulum", 4)])
+    def test_fixed_point_block_equals_rows(self, fixed_point_systems, name, width):
+        sys, crit = fixed_point_systems[name]
+        x = random_tails(sys, width, np.random.default_rng(width))
+        rows = [TimeSeries(row, 0.01) for row in x]
+        means = np.array([r.values[-crit.tail_len:].mean(axis=0) for r in rows])
+        for full_state in (False, True):
+            expected = [parent_classify_fixed_point(r.values, sys, crit, full_state)
+                        for r in rows]
+            assert {SPURIOUS, UNRESOLVED} < set(expected)
+            assert [classify_fixed_point(r, sys, crit, full_state=full_state)
+                    for r in rows] == expected
+            for block in read_only_layouts(x):
+                # tail means carry the bits of the per-row means in every layout
+                tails, _ = _tail_block(block, crit.tail_len)
+                assert np.array_equal(tails.mean(axis=1).view(np.uint64),
+                                      means.view(np.uint64))
+                assert classify_fixed_point(block, sys, crit,
+                                            full_state=full_state) == expected
+
+    def test_non_finite_rows_unresolved_quietly(self):
+        sys = duffing()
+        x = np.tile([np.sqrt(10), 0.0], (7, 40, 1))
+        x[1, -1, 0] = np.nan
+        x[2, 30, 1] = np.inf
+        x[3, -25, 0] = -np.inf
+        x[4] = np.nan
+        x[5, 3] = np.nan  # before the tail, which alone is classified
+        x[6, -2:] = [np.inf, -np.inf]
+        expected = [1, UNRESOLVED, UNRESOLVED, UNRESOLVED, UNRESOLVED, 1, UNRESOLVED]
+        x_only = [1, UNRESOLVED, 1, UNRESOLVED, UNRESOLVED, 1, UNRESOLVED]
+        for block in (x, np.asfortranarray(x), x[:, :, ::-1][:, :, ::-1]):
+            before = block.copy()
+            with np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for full_state in (False, True):
+                    assert classify_fixed_point(block, sys, DUFFING_CRIT,
+                                                full_state=full_state) == expected
+                    assert classify_fixed_point(block[:, :, :1], sys, DUFFING_CRIT,
+                                                components=(0,)) == x_only
+            assert np.array_equal(block, before, equal_nan=True)
+
+    def test_chaotic_block_equals_tails(self, lorenz):
+        rng = np.random.default_rng(13)
+        # read-only strided windows of each lobe's reference trajectory
+        lobes = [np.lib.stride_tricks.sliding_window_view(a.reference, 500, axis=0)
+                 [::1500].transpose(0, 2, 1) for a in lorenz.attractors]
+        far = rng.standard_normal((1, 500, 3)) + 50.0
+        x = np.concatenate(lobes + [far, lobes[0][:2], lobes[1][:1]])
+        x[-3, 17, 2] = np.nan
+        x[-2, -1, 0] = np.inf
+        x[-1, 250] = -np.inf
+        expected = [classify_chaotic(TimeSeries(row, 0.02), lorenz.attractors, LORENZ_CRIT)
+                    for row in x[:-3]] + [UNRESOLVED] * 3
+        assert expected[:-3] == [0] * len(lobes[0]) + [1] * len(lobes[1]) + [UNRESOLVED]
+        for lobe, label in zip(lobes, (0, 1)):
+            assert classify_chaotic(lobe, lorenz.attractors, LORENZ_CRIT) == [label] * len(lobe)
+        for block in (x, np.asfortranarray(x)):
+            before = block.copy()
+            with np.errstate(all="raise"):
+                assert classify_chaotic(block, lorenz.attractors, LORENZ_CRIT) == expected
+            assert np.array_equal(block, before, equal_nan=True)
+
+    def test_block_shape_checked(self):
+        sys = duffing()
+        with pytest.raises(DimensionMismatchError):
+            classify_fixed_point(np.zeros((30, 2)), sys, DUFFING_CRIT)
+        with pytest.raises(ValueError):
+            classify_fixed_point(np.zeros((3, 10, 2)), sys, DUFFING_CRIT)

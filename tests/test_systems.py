@@ -10,7 +10,6 @@ from rcbasin.systems import (
     duffing,
     integrate_adaptive,
     integrate_rk4,
-    integrate_with_process_noise,
     magnet_distances,
     magnetic_pendulum,
     make_system,
@@ -300,34 +299,6 @@ class TestAdaptive:
             integrate_adaptive(blow, np.array([1.0]), t_end=2.0, sample_dt=0.1)
 
 
-class TestProcessNoise:
-    def test_zero_noise_is_euler(self):
-        sys = linear_decay()
-        traj = integrate_with_process_noise(sys, np.array([1.0]), 0.01, 100,
-                                            eta_p=0.0, seed=0)
-        euler = 1.0 * (1 - 0.01) ** np.arange(101)
-        assert traj.values[:, 0] == pytest.approx(euler, rel=1e-12)
-        rk4 = integrate_rk4(sys, np.array([1.0]), 0.01, 100)
-        assert np.abs(traj.values - rk4.values).max() < 0.01
-
-    def test_seeded_repeat_identical(self):
-        sys = linear_decay()
-        a = integrate_with_process_noise(sys, np.array([1.0]), 0.01, 200, 0.3, seed=7)
-        b = integrate_with_process_noise(sys, np.array([1.0]), 0.01, 200, 0.3, seed=7)
-        assert np.array_equal(a.values, b.values)
-
-    def test_ou_stationary_variance(self):
-        # 10^4 decoupled copies of x' = -x driven by the same noise law form
-        # an ensemble; stationary variance approaches eta_p^2 / 2
-        m = 10_000
-        sys = linear_decay(dim=m)
-        eta_p = 0.5
-        traj = integrate_with_process_noise(sys, np.zeros(m), 0.01, 1500,
-                                            eta_p=eta_p, seed=3)
-        var = np.var(traj.values[-1])
-        assert var == pytest.approx(eta_p**2 / 2, rel=0.10)
-
-
 class TestMakeSystem:
     def test_by_name(self):
         assert make_system("duffing", f0=1.0).params["f0"] == 1.0
@@ -340,3 +311,7 @@ class TestMakeSystem:
     def test_attractor_kinds(self):
         assert all(a.kind == FIXED_POINT for a in magnetic_pendulum().attractors)
         assert all(a.kind == CHAOTIC for a in multistable_lorenz().attractors)
+
+    def test_chaotic_flag(self):
+        assert multistable_lorenz().chaotic
+        assert not any(s.chaotic for s in (duffing(), multi_well(), linear_decay()))
