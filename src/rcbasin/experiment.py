@@ -40,6 +40,7 @@ from .errors import (
     InvalidWindowError,
     SamplingExhaustedError,
     SchemaMismatchError,
+    StepSizeUnderflowError,
 )
 from .reservoir import (
     Reservoir,
@@ -54,10 +55,6 @@ from .training import Readout, TrainConfig
 
 #: Cells processed per batch; fixed so numerics do not depend on parallelism.
 CELL_CHUNK = 512
-
-#: Adaptive truth cells per pool task.  Those cells are integrated one at a
-#: time, so a smaller unit changes no result and keeps every worker busy.
-_ADAPTIVE_TRUTH_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -232,15 +229,35 @@ def make_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return coords, ics
 
 
+def _trajectories(cfg: ExperimentConfig, sys: SystemDef, ics: np.ndarray,
+                  n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectories of n_steps + 1 samples from each row of ics, as one ensemble.
+
+    Returns the (m, n_steps + 1, dim) block and each row's failure flag.  A
+    failed adaptive row is NaN after its last sample; RK4 rows never fail.
+    """
+    if cfg.adaptive_truth:
+        result = integrate_adaptive(sys, ics, t_end=n_steps * cfg.dt,
+                                    rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                                    sample_dt=cfg.dt)
+        return result.values.transpose(1, 0, 2), result.failed
+    block = rk4_ensemble(sys, ics, cfg.dt, n_steps).transpose(1, 0, 2)
+    return block, np.zeros(len(ics), dtype=bool)
+
+
+def _underflow(ic: np.ndarray) -> StepSizeUnderflowError:
+    return StepSizeUnderflowError(f"adaptive integration from {ic.tolist()} failed: "
+                                  "the step size underflowed")
+
+
 def integrate_truth(cfg: ExperimentConfig, sys: SystemDef, ic: np.ndarray,
                     n_steps: int) -> np.ndarray:
     """One truth trajectory of n_steps + 1 samples at the experiment step."""
-    if cfg.adaptive_truth:
-        ts = integrate_adaptive(sys, ic, t_end=n_steps * cfg.dt,
-                                rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                                sample_dt=cfg.dt)
-        return ts.values
-    return rk4_ensemble(sys, ic, cfg.dt, n_steps)[:, 0, :]
+    ic = np.asarray(ic, dtype=float)
+    block, failed = _trajectories(cfg, sys, ic[None], n_steps)
+    if failed[0]:
+        raise _underflow(ic)
+    return block[0]
 
 
 def _label_block(sys: SystemDef, crit: ConvergenceCriteria, block: np.ndarray,
@@ -263,11 +280,9 @@ def _truth_chunk(cfg: ExperimentConfig, ics_chunk: np.ndarray) -> tuple[np.ndarr
     """
     sys = system_from_config(cfg)
     crit = criteria_from_config(cfg)
-    if cfg.adaptive_truth:
-        block = np.stack([integrate_truth(cfg, sys, ic, cfg.horizon - 1)
-                          for ic in ics_chunk])
-    else:
-        block = rk4_ensemble(sys, ics_chunk, cfg.dt, cfg.horizon - 1).transpose(1, 0, 2)
+    block, failed = _trajectories(cfg, sys, ics_chunk, cfg.horizon - 1)
+    if failed.any():
+        raise _underflow(ics_chunk[np.argmax(failed)])
     labels = np.array([label if isinstance(label, int) else -1
                        for label in _label_block(sys, crit, block, range(sys.dim))])
     labels[~np.isfinite(block).all(axis=(1, 2))] = -1
@@ -279,13 +294,13 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray,
                            parallel: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """True labels plus observed test prefixes for every initial condition.
 
-    Work proceeds in fixed chunks of :data:`CELL_CHUNK` cells
-    (``_ADAPTIVE_TRUTH_CHUNK`` for adaptive truth); with ``parallel > 1``
+    Work proceeds in fixed chunks of :data:`CELL_CHUNK` cells, each
+    integrated as one ensemble by either integrator; with ``parallel > 1``
     chunks are farmed out to worker processes.  Results are identical for
-    any degree because cells never interact.
+    any degree because cells never interact.  Raises
+    :class:`StepSizeUnderflowError` if any adaptive cell fails.
     """
-    size = _ADAPTIVE_TRUTH_CHUNK if cfg.adaptive_truth else CELL_CHUNK
-    chunks = [ics[lo:lo + size] for lo in range(0, ics.shape[0], size)]
+    chunks = [ics[lo:lo + CELL_CHUNK] for lo in range(0, ics.shape[0], CELL_CHUNK)]
     if parallel > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             results = list(pool.map(_truth_chunk, itertools.repeat(cfg), chunks))
@@ -300,14 +315,8 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray,
 _REJECT_BLOCK = 32
 
 
-def _candidate_trajectory(cfg: ExperimentConfig, ic: np.ndarray,
-                          n_steps: int) -> np.ndarray:
-    return integrate_truth(cfg, system_from_config(cfg), ic, n_steps)
-
-
 def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
-                          rng: np.random.Generator | None = None,
-                          parallel: int = 1) -> list[TimeSeries]:
+                          rng: np.random.Generator | None = None) -> list[TimeSeries]:
     """Draw training signals by rejection sampling in the training box.
 
     Initial conditions are uniform on the configured plane (off-plane
@@ -316,22 +325,28 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
     the requested attractor; accepted trajectories contribute their first
     ``train_sig_len`` samples.  The observation mask is applied last.
 
-    Candidates are drawn and examined in a fixed order, so the accepted set
-    depends only on the generator state, not on the block size or the
-    parallelism degree.  Fixed-step systems integrate candidate blocks as
-    one ensemble.  Adaptive ones integrate candidates one at a time and
-    stop at the last acceptance needed, or, with ``parallel > 1``, farm
-    the whole block out to worker processes.
+    Candidates are drawn in blocks, each integrated as one ensemble by
+    either integrator, and examined in draw order, so the accepted set
+    depends only on the generator state, not on the block size.  A
+    candidate whose adaptive integration failed raises
+    :class:`StepSizeUnderflowError` when it is examined; candidates after
+    the last acceptance needed are never examined.
 
-    Raises :class:`SamplingExhaustedError` once the attempt cap
-    (``max_attempt_factor * n_train``) is reached.
+    Raises :class:`SamplingExhaustedError` before the first draw if
+    ``restrict_to_basin`` names no attractor of the system, and once the
+    attempt cap (``max_attempt_factor * n_train``) is reached.
     """
     if sys is None:
         sys = system_from_config(cfg)
     if rng is None:
         rng = np.random.default_rng(cfg.seed_sampling)
+    basin = cfg.restrict_to_basin
+    if basin is not None and not 0 <= basin < len(sys.attractors):
+        raise SamplingExhaustedError(
+            f"restrict_to_basin {basin} names no attractor: {sys.name} has "
+            f"{len(sys.attractors)}")
     crit = criteria_from_config(cfg)
-    if cfg.restrict_to_basin is None or sys.chaotic:
+    if basin is None or sys.chaotic:
         n_steps = cfg.train_sig_len - 1
     else:
         n_steps = cfg.reject_horizon
@@ -339,48 +354,32 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
     signals: list[TimeSeries] = []
     attempts = 0
     cap = cfg.max_attempt_factor * cfg.n_train
-    pool = None
-    if cfg.adaptive_truth and parallel > 1:
-        pool = ProcessPoolExecutor(max_workers=parallel)
-    try:
-        while len(signals) < cfg.n_train:
-            block = min(_REJECT_BLOCK, cap - attempts)
-            if cfg.restrict_to_basin is None:
-                block = min(block, cfg.n_train - len(signals))
-            if block <= 0:
-                raise SamplingExhaustedError(
-                    f"accepted {len(signals)}/{cfg.n_train} signals in {attempts} "
-                    "attempts; the requested basin may not intersect the sampling box")
-            coords = rng.uniform(-cfg.train_half_width, cfg.train_half_width,
-                                 size=(block, 2))
-            ics = np.zeros((block, sys.dim))
-            ics[:, cfg.grid_axes[0]] = coords[:, 0]
-            ics[:, cfg.grid_axes[1]] = coords[:, 1]
-            if cfg.adaptive_truth:
-                if pool is not None and block > 1:
-                    trajectories = list(pool.map(
-                        _candidate_trajectory, itertools.repeat(cfg), ics,
-                        itertools.repeat(n_steps)))
-                else:
-                    # lazily, so integration stops at the last acceptance
-                    trajectories = (integrate_truth(cfg, sys, ic, n_steps)
-                                    for ic in ics)
-            else:
-                ensemble = rk4_ensemble(sys, ics, cfg.dt, n_steps)
-                trajectories = [ensemble[:, i, :] for i in range(block)]
-            for values in trajectories:
-                attempts += 1
-                if cfg.restrict_to_basin is not None:
-                    label = _label_block(sys, crit, values[None], range(sys.dim))[0]
-                    if label != cfg.restrict_to_basin or not np.isfinite(values).all():
-                        continue
-                keep = values[:cfg.train_sig_len][:, list(cfg.observe)]
-                signals.append(TimeSeries(keep, cfg.dt))
-                if len(signals) == cfg.n_train:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while len(signals) < cfg.n_train:
+        block = min(_REJECT_BLOCK, cap - attempts)
+        if basin is None:
+            block = min(block, cfg.n_train - len(signals))
+        if block <= 0:
+            raise SamplingExhaustedError(
+                f"accepted {len(signals)}/{cfg.n_train} signals in {attempts} "
+                "attempts; the requested basin may not intersect the sampling box")
+        coords = rng.uniform(-cfg.train_half_width, cfg.train_half_width,
+                             size=(block, 2))
+        ics = np.zeros((block, sys.dim))
+        ics[:, cfg.grid_axes[0]] = coords[:, 0]
+        ics[:, cfg.grid_axes[1]] = coords[:, 1]
+        trajectories, failed = _trajectories(cfg, sys, ics, n_steps)
+        for ic, values, fail in zip(ics, trajectories, failed):
+            attempts += 1
+            if fail:
+                raise _underflow(ic)
+            if basin is not None:
+                label = _label_block(sys, crit, values[None], range(sys.dim))[0]
+                if label != basin or not np.isfinite(values).all():
+                    continue
+            keep = values[:cfg.train_sig_len][:, list(cfg.observe)]
+            signals.append(TimeSeries(keep, cfg.dt))
+            if len(signals) == cfg.n_train:
+                break
     return signals
 
 
@@ -408,8 +407,8 @@ class BasinMap:
         return float(np.mean(self.baseline_labels == self.true_labels))
 
 
-def train_from_config(cfg: ExperimentConfig, sys: SystemDef | None = None,
-                      parallel: int = 1) -> tuple[Reservoir, Readout, float]:
+def train_from_config(cfg: ExperimentConfig,
+                      sys: SystemDef | None = None) -> tuple[Reservoir, Readout, float]:
     """Build the reservoir, sample the training set and fit the readout.
 
     Inputs are standardized unless ``standardize_inputs`` is off, in which
@@ -417,7 +416,7 @@ def train_from_config(cfg: ExperimentConfig, sys: SystemDef | None = None,
     with the mean squared training error.
     """
     res = build_reservoir(reservoir_spec_from_config(cfg))
-    signals = generate_training_set(cfg, sys, parallel=parallel)
+    signals = generate_training_set(cfg, sys)
     standardizer = (None if cfg.standardize_inputs
                     else Standardizer.identity(len(cfg.observe)))
     readout, mse = _training.train_with_mse(res, signals, train_config_from_config(cfg),
@@ -442,7 +441,7 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
                 f"bundle expects {res.n_in} observed components, "
                 f"config observes {len(cfg.observe)}")
     else:
-        res, readout, _ = train_from_config(cfg, sys, parallel=parallel)
+        res, readout, _ = train_from_config(cfg, sys)
 
     coords, ics = make_grid(cfg)
     labels, prefixes = truth_and_test_signals(cfg, ics, parallel=parallel)

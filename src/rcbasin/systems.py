@@ -5,7 +5,8 @@ attractors, a decoupled double-well pair with four corner attractors, a
 magnetic pendulum with three magnets and fractal-like basin boundaries, and
 a Lorenz-like flow with two coexisting chaotic attractors.  Vector fields
 are vectorized over leading axes, so an ensemble of states integrates in
-lock step with no per-state Python overhead.
+lock step with no per-state Python overhead: fixed-step RK4, and adaptive
+DOP853 whose every row is bit-identical to scipy's ``solve_ivp``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from .errors import NonFiniteError, StepSizeUnderflowError
 from .timeseries import TimeSeries
@@ -213,9 +214,13 @@ def _pendulum_field(state):
     dx = _PEND_MAGNETS[:, 0] - x[..., None]
     dy = _PEND_MAGNETS[:, 1] - y[..., None]
     inv_d3 = (dx**2 + dy**2 + _PEND_HEIGHT**2) ** -1.5
-    ax = -_PEND_OMEGA0**2 * x - _PEND_GAMMA * vx + np.sum(dx * inv_d3, axis=-1)
-    ay = -_PEND_OMEGA0**2 * y - _PEND_GAMMA * vy + np.sum(dy * inv_d3, axis=-1)
-    return np.stack([vx, vy, ax, ay], axis=-1)
+    out = np.empty(state.shape)
+    out[..., 0] = vx
+    out[..., 1] = vy
+    # np.add.reduce is np.sum without its Python wrapper
+    out[..., 2] = -_PEND_OMEGA0**2 * x - _PEND_GAMMA * vx + np.add.reduce(dx * inv_d3, axis=-1)
+    out[..., 3] = -_PEND_OMEGA0**2 * y - _PEND_GAMMA * vy + np.add.reduce(dy * inv_d3, axis=-1)
+    return out
 
 
 def _pendulum_field_point(x, y, vx, vy):
@@ -402,24 +407,209 @@ def integrate_rk4(sys: SystemDef, x0: np.ndarray, dt: float, n: int) -> TimeSeri
     return TimeSeries(out, dt)
 
 
+@dataclass(frozen=True)
+class AdaptiveEnsemble:
+    """Adaptive trajectories of a batch of starts on a uniform sample grid.
+
+    Attributes:
+        values: Samples, shape (n_samples, m, dim), laid out like the result
+            of :func:`rk4_ensemble`.  A failed row is NaN after the last
+            sample it reached.
+        failed: Per-row flag, shape (m,): the step size underflowed.
+    """
+
+    values: np.ndarray
+    failed: np.ndarray
+
+    @property
+    def n_samples(self) -> int:
+        return self.values.shape[0]
+
+
+# DOP853 tableau and step control, exactly as scipy.integrate.DOP853 has them.
+_N_STAGES = _dop.N_STAGES
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / (7 + 1)
+
+
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """``base ** exponent`` per element through libm's pow, as scalar ``**`` is.
+
+    numpy's array power differs from it in the last bit.  Elements that are
+    not positive come back unchanged; no step-control branch reads them.
+    """
+    return np.array([b ** exponent if b > 0 else b for b in base.tolist()])
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, through the same BLAS dot product."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _rms(v: np.ndarray) -> np.ndarray:
+    """scipy's RMS norm of each row."""
+    return _norm(v) / v.shape[1] ** 0.5
+
+
+def _min(a, b):
+    """Python's ``min(a, b)`` per element: ``b`` only if ``b < a``."""
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    """Python's ``max(a, b)`` per element: ``b`` only if ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def _combine(K: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Every row's ``np.dot(K[:s].T, coefficients)`` as one stacked product."""
+    return np.matmul(K[:, :len(coefficients)].transpose(0, 2, 1), coefficients)
+
+
+def _dop853(f, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
+            atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's DOP853 on every row of ``y0`` at once, sampled at ``t_eval``.
+
+    Rows advance in lock step, each with its own time, step size, rejected
+    flag and failure status, and leave the active set when they finish or
+    fail.  Each row rounds exactly as ``solve_ivp`` does: elementwise
+    operations act per row, every ``np.dot`` is one stacked ``np.matmul``
+    over items laid out as scipy lays them out, and powers are scalar.
+    Returns the (len(t_eval), m, dim) samples and the failure flags.
+    """
+    m, dim = y0.shape
+    t_bound = float(t_eval[-1])
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    out = np.full((len(t_eval), m, dim), np.nan)
+    failed = np.zeros(m, dtype=bool)
+
+    # select_initial_step
+    fy = f(y0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(fy / scale)
+    h0 = _min(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_bound)
+    d2 = _rms((f(y0 + h0[:, None] * fy) - fy) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), _max(1e-6, h0 * 1e-3),
+                  _pow(0.01 / _max(d1, d2), 1 / (7 + 1)))
+    h_abs = _min(_min(100 * h0, h1), t_bound)
+
+    rows = np.arange(m)
+    t = np.zeros(m)
+    y = y0
+    rejected = np.zeros(m, dtype=bool)
+    done = np.zeros(m, dtype=bool)
+    sampled = np.zeros(m, dtype=int)
+    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    h_abs = np.where(h_abs < min_step, min_step, h_abs)
+    while True:
+        # a new step starts at least at min_step; a retry below it fails
+        gone = h_abs < min_step
+        failed[rows[gone]] = True
+        keep = ~(gone | done)
+        if not keep.all():
+            rows, t, y, fy, h_abs, min_step, rejected, sampled = (
+                a[keep] for a in (rows, t, y, fy, h_abs, min_step, rejected, sampled))
+        if not rows.size:
+            return out, failed
+
+        t_new = t + h_abs
+        t_new = np.where(t_new - t_bound > 0, t_bound, t_new)
+        h = t_new - t
+        h_abs = np.abs(h)
+        K = np.empty((rows.size, _dop.N_STAGES_EXTENDED, dim))
+        K[:, 0] = fy
+        for s in range(1, _N_STAGES):
+            K[:, s] = f(y + _combine(K, _dop.A[s, :s]) * h[:, None])
+        y_new = y + h[:, None] * _combine(K, _dop.B)
+        K[:, _N_STAGES] = f_new = f(y_new)
+
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = _pow(_norm(_combine(K, _dop.E5) / scale), 2)
+        err3 = _pow(_norm(_combine(K, _dop.E3) / scale), 2)
+        error_norm = np.where((err5 == 0) & (err3 == 0), 0.0,
+                              np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * dim))
+        step = _SAFETY * _pow(error_norm, _ERROR_EXPONENT)
+        accepted = error_norm < 1
+        grow = np.where(error_norm == 0, _MAX_FACTOR, _min(_MAX_FACTOR, step))
+        grow = np.where(rejected, _min(1, grow), grow)
+        h_abs = h_abs * np.where(accepted, grow, _max(_MIN_FACTOR, step))
+        rejected = ~accepted
+
+        reached = np.searchsorted(t_eval, t_new, side="right")
+        emit = np.flatnonzero(accepted & (reached > sampled))
+        if emit.size:
+            _dense_samples(f, out, rows[emit], K[emit], t[emit], h[emit], y[emit],
+                           y_new[emit], f_new[emit], t_eval, sampled[emit], reached[emit])
+        sampled = np.where(accepted, reached, sampled)
+        t = np.where(accepted, t_new, t)
+        y = np.where(accepted[:, None], y_new, y)
+        fy = np.where(accepted[:, None], f_new, fy)
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = np.where(accepted & (h_abs < min_step), min_step, h_abs)
+        done = accepted & (t - t_bound >= 0)
+
+
+def _dense_samples(f, out, rows, K, t_old, h, y_old, y, f_new, t_eval, lo, hi) -> None:
+    """Write each row's samples in t_eval[lo:hi] from its last step's interpolant.
+
+    ``K`` holds the step's 13 stages; the three extra stages and the
+    interpolant are scipy's ``Dop853DenseOutput``, evaluated elementwise.
+    """
+    for s, a in enumerate(_dop.A[_N_STAGES + 1:], start=_N_STAGES + 1):
+        K[:, s] = f(y_old + _combine(K, a[:s]) * h[:, None])
+    delta = y - y_old
+    F = np.empty((rows.size, _dop.INTERPOLATOR_POWER, y.shape[1]))
+    F[:, 0] = delta
+    F[:, 1] = h[:, None] * K[:, 0] - delta
+    F[:, 2] = 2 * delta - h[:, None] * (f_new + K[:, 0])
+    F[:, 3:] = h[:, None, None] * np.matmul(_dop.D, K)
+
+    count = hi - lo
+    which = np.repeat(np.arange(rows.size), count)
+    points = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+    x = ((t_eval[points] - t_old[which]) / h[which])[:, None]
+    values = np.zeros((points.size, y.shape[1]))
+    for i in range(F.shape[1]):
+        values += F[which, F.shape[1] - 1 - i]
+        values *= x if i % 2 == 0 else 1 - x
+    values += y_old[which]
+    out[points, rows[which]] = values
+
+
 def integrate_adaptive(sys: SystemDef, x0: np.ndarray, t_end: float,
                        rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-                       sample_dt: float = 0.02) -> TimeSeries:
-    """Integrate with an adaptive 8th-order Runge-Kutta pair (DOP853).
+                       sample_dt: float = 0.02) -> TimeSeries | AdaptiveEnsemble:
+    """Integrate with the adaptive 8th-order Runge-Kutta pair DOP853.
 
-    The solution is resampled on a uniform grid of spacing ``sample_dt``
-    through dense output, so the returned series matches the fixed-step
-    format used everywhere else.
+    Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.5, with scipy's step
+    control.  The solution is resampled on a uniform grid of spacing
+    ``sample_dt`` through dense output, so it matches the fixed-step format
+    used everywhere else.  A batch of starts, shape (m, dim), integrates in
+    lock step and returns an :class:`AdaptiveEnsemble` whose every row equals
+    ``scipy.integrate.solve_ivp(..., method="DOP853", t_eval=...)`` bit for
+    bit.  A single start, shape (dim,), is a batch of one: it returns a
+    :class:`TimeSeries` and raises :class:`StepSizeUnderflowError` if its
+    step size underflows.  Non-finite starts raise ``ValueError``.
     """
     if rel_tol <= 0.0 or abs_tol <= 0.0 or sample_dt <= 0.0:
         raise ValueError("tolerances and sample_dt must be positive")
     n = int(round(t_end / sample_dt))
     if n < 1:
         raise ValueError("t_end must cover at least one sample interval")
-    t_eval = sample_dt * np.arange(n + 1)
-    sol = solve_ivp(lambda t, s: sys.vector_field(s), (0.0, t_eval[-1]),
-                    np.asarray(x0, dtype=float), method="DOP853",
-                    t_eval=t_eval, rtol=rel_tol, atol=abs_tol)
-    if not sol.success:
-        raise StepSizeUnderflowError(f"adaptive integration failed: {sol.message}")
-    return TimeSeries(sol.y.T, sample_dt)
+    x = np.array(x0, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != sys.dim:
+        raise ValueError(f"starts must have shape (dim,) or (m, dim) with dim {sys.dim}")
+    if not np.isfinite(x).all():
+        raise ValueError("all components of the initial states must be finite")
+    with np.errstate(all="ignore"):
+        values, failed = _dop853(sys.vector_field, x, sample_dt * np.arange(n + 1),
+                                 rel_tol, abs_tol)
+    if not single:
+        return AdaptiveEnsemble(values, failed)
+    if failed[0]:
+        raise StepSizeUnderflowError("adaptive integration failed: Required step size "
+                                     "is less than spacing between numbers.")
+    return TimeSeries(values[:, 0, :], sample_dt)

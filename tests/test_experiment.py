@@ -7,6 +7,7 @@ from rcbasin.errors import (
     InvalidWindowError,
     SamplingExhaustedError,
     SchemaMismatchError,
+    StepSizeUnderflowError,
 )
 from rcbasin.experiment import (
     BASIN_COLORS,
@@ -30,6 +31,7 @@ from rcbasin.experiment import (
     truth_and_test_signals,
     write_sweep_csv,
 )
+from rcbasin.systems import AdaptiveEnsemble
 def wells_config(**overrides):
     base = dict(resolution=6, horizon=800, n_test=5, n_train=8,
                 seed_reservoir=0, seed_sampling=1, seed_noise=2)
@@ -139,8 +141,8 @@ class TestGenerateTrainingSet:
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
 
-class TestLazyAdaptiveSampling:
-    """Serial adaptive sampling integrates no candidate past the last acceptance."""
+class TestAdaptiveSamplingBlocks:
+    """A rejection block is one adaptive ensemble, examined in draw order."""
 
     @staticmethod
     def config():
@@ -149,72 +151,125 @@ class TestLazyAdaptiveSampling:
                               n_train=4, restrict_to_basin=1, reject_horizon=1000,
                               train_sig_len=200)
 
-    def test_stops_at_last_acceptance(self, monkeypatch):
+    @staticmethod
+    def candidates(cfg):
+        return np.random.default_rng(cfg.seed_sampling).uniform(
+            -cfg.train_half_width, cfg.train_half_width,
+            size=(experiment_mod._REJECT_BLOCK, 2))
+
+    @staticmethod
+    def failing_at(monkeypatch, row):
+        """Make the adaptive ensemble report ``row`` as failed after 5 samples."""
+        integrate = experiment_mod.integrate_adaptive
+
+        def failing(*args, **kwargs):
+            result = integrate(*args, **kwargs)
+            values, failed = result.values.copy(), result.failed.copy()
+            values[5:, row] = np.nan
+            failed[row] = True
+            return AdaptiveEnsemble(values, failed)
+
+        monkeypatch.setattr(experiment_mod, "integrate_adaptive", failing)
+
+    def test_block_is_one_call_in_draw_order(self, monkeypatch):
         cfg = self.config()
         calls = []
         integrate = experiment_mod.integrate_adaptive
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
+        def recording(*args, **kwargs):
+            calls.append(np.array(args[1]))
             return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(experiment_mod, "integrate_adaptive", counting)
+        monkeypatch.setattr(experiment_mod, "integrate_adaptive", recording)
         signals = generate_training_set(cfg)
-        block = experiment_mod._REJECT_BLOCK
-        candidates = np.random.default_rng(cfg.seed_sampling).uniform(
-            -cfg.train_half_width, cfg.train_half_width, size=(block, 2))
-        starts = np.array([s.values[0] for s in signals])
-        picked = [int(np.argmin(np.abs(candidates - x).sum(axis=1))) for x in starts]
-        assert np.allclose(candidates[picked], starts, rtol=0.0, atol=1e-12)
         assert len(signals) == cfg.n_train
-        assert picked == sorted(picked) and picked[-1] + 1 < block
-        assert len(calls) == picked[-1] + 1
-        assert np.array_equal(np.array(calls), candidates[:len(calls)])
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], self.candidates(cfg))
 
-    def test_serial_equals_pool(self):
+    def test_accepts_what_single_integrations_accept(self):
+        from rcbasin.classify import classify_fixed_point
+        from rcbasin.experiment import criteria_from_config
+        from rcbasin.systems import integrate_adaptive
+
         cfg = self.config()
-        serial = generate_training_set(cfg)
-        pooled = generate_training_set(cfg, parallel=2)
-        assert len(serial) == len(pooled) == cfg.n_train
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.values, b.values)
+        sys = system_from_config(cfg)
+        crit = criteria_from_config(cfg)
+        expected = []
+        for coords in self.candidates(cfg):
+            traj = integrate_adaptive(sys, coords, t_end=cfg.reject_horizon * cfg.dt,
+                                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
+                                      sample_dt=cfg.dt)
+            if classify_fixed_point(traj, sys, crit, full_state=True) == 1:
+                expected.append(traj.values[:cfg.train_sig_len])
+            if len(expected) == cfg.n_train:
+                break
+        signals = generate_training_set(cfg)
+        assert len(signals) == len(expected) == cfg.n_train
+        for signal, values in zip(signals, expected):
+            assert signal.values.tobytes() == values.tobytes()
+
+    def test_failure_before_last_acceptance_raises(self, monkeypatch):
+        self.failing_at(monkeypatch, 5)
+        with pytest.raises(StepSizeUnderflowError):
+            generate_training_set(self.config())
+
+    def test_failure_after_last_acceptance_is_never_examined(self, monkeypatch):
+        cfg = self.config()
+        clean = generate_training_set(cfg)
+        self.failing_at(monkeypatch, 10)
+        signals = generate_training_set(cfg)
+        assert len(signals) == len(clean) == cfg.n_train
+        for a, b in zip(signals, clean):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestRestrictToBasinRange:
+    @pytest.mark.parametrize("basin", [-1, 2])
+    def test_out_of_range_raises_before_any_integration(self, basin, monkeypatch):
+        calls = []
+        for name in ("rk4_ensemble", "integrate_adaptive"):
+            monkeypatch.setattr(experiment_mod, name,
+                                lambda *args, **kwargs: calls.append(args))
+        for adaptive in (False, True):
+            cfg = default_config("duffing", n_train=2, restrict_to_basin=basin,
+                                 adaptive_truth=adaptive)
+            with pytest.raises(SamplingExhaustedError, match=f"{basin}.*has 2"):
+                generate_training_set(cfg)
+        assert calls == []
 
 
 class TestAdaptiveTruthTasks:
-    """Adaptive truth goes to the pool in small fixed tasks, even on one chunk."""
+    """Adaptive truth integrates each cell chunk as one ensemble."""
 
     @staticmethod
     def config():
         return default_config("duffing", adaptive_truth=True, resolution=9,
                               horizon=600, n_test=10)
 
-    def test_single_chunk_grid_splits_into_tasks(self, monkeypatch):
-        tasks = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                jobs = list(zip(*iterables))
-                tasks.extend(len(chunk) for _, chunk in jobs)
-                return [fn(*job) for job in jobs]
-
+    def test_one_call_per_chunk(self, monkeypatch):
         cfg = self.config()
         _, ics = make_grid(cfg)
-        assert ics.shape[0] <= experiment_mod.CELL_CHUNK
-        serial = truth_and_test_signals(cfg, ics)
-        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", RecordingPool)
-        pooled = truth_and_test_signals(cfg, ics, parallel=2)
-        assert tasks == [32, 32, 17]
-        assert np.array_equal(serial[0], pooled[0])
-        assert np.array_equal(serial[1], pooled[1])
+        whole = truth_and_test_signals(cfg, ics)
+        sizes = []
+        integrate = experiment_mod.integrate_adaptive
+
+        def recording(*args, **kwargs):
+            sizes.append(len(args[1]))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "integrate_adaptive", recording)
+        monkeypatch.setattr(experiment_mod, "CELL_CHUNK", 32)
+        chunked = truth_and_test_signals(cfg, ics)
+        assert sizes == [32, 32, 17]
+        assert np.array_equal(whole[0], chunked[0])
+        assert chunked[1].tobytes() == whole[1].tobytes()
+
+    def test_failed_cell_raises(self, monkeypatch):
+        cfg = self.config()
+        _, ics = make_grid(cfg)
+        TestAdaptiveSamplingBlocks.failing_at(monkeypatch, 40)
+        with pytest.raises(StepSizeUnderflowError):
+            truth_and_test_signals(cfg, ics)
 
     def test_parallel_identical(self):
         cfg = self.config()

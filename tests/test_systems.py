@@ -299,6 +299,106 @@ class TestAdaptive:
             integrate_adaptive(blow, np.array([1.0]), t_end=2.0, sample_dt=0.1)
 
 
+def blow_up():
+    """dx/dt = x**2: finite-time blow-up at t = 1 / x0 for x0 > 0."""
+    return SystemDef(name="blow", dim=1,
+                     vector_field=lambda s: np.asarray(s, float) ** 2,
+                     params={}, attractors=())
+
+
+def pendulum_plane(coords):
+    starts = np.zeros((len(coords), 4))
+    starts[:, :2] = coords
+    return starts
+
+
+class TestLockstepDop853:
+    """Every row of a batch equals its own solve_ivp(DOP853) call bit for bit."""
+
+    @staticmethod
+    def assert_rows_match_scipy(sys, starts, t_end, rel_tol, abs_tol, sample_dt):
+        from scipy.integrate import solve_ivp
+
+        result = integrate_adaptive(sys, starts, t_end=t_end, rel_tol=rel_tol,
+                                    abs_tol=abs_tol, sample_dt=sample_dt)
+        t_eval = sample_dt * np.arange(int(round(t_end / sample_dt)) + 1)
+        assert result.values.shape == (len(t_eval),) + np.shape(starts)
+        assert result.n_samples == len(t_eval)
+        reached = []
+        for i, start in enumerate(starts):
+            sol = solve_ivp(lambda t, s: sys.vector_field(s), (0.0, t_eval[-1]), start,
+                            method="DOP853", t_eval=t_eval, rtol=rel_tol, atol=abs_tol)
+            k = sol.y.shape[1]
+            assert result.failed[i] == (not sol.success)
+            assert result.values[:k, i].tobytes() == sol.y.T.tobytes()
+            assert np.isnan(result.values[k:, i]).all()
+            reached.append(k)
+        return result, reached
+
+    def test_pendulum_workload_grid(self):
+        ticks = np.linspace(-1.5, 1.5, 5)
+        grid = pendulum_plane(np.array([(a, b) for a in ticks for b in ticks]))
+        self.assert_rows_match_scipy(magnetic_pendulum(), grid, 1999 * 0.02,
+                                     1e-6, 1e-8, 0.02)
+
+    def test_pendulum_rejection_candidates(self):
+        coords = np.random.default_rng(1).uniform(-1.5, 1.5, size=(32, 2))
+        self.assert_rows_match_scipy(magnetic_pendulum(), pendulum_plane(coords),
+                                     40.0, 1e-6, 1e-8, 0.02)
+
+    def test_pendulum_equilibria_and_magnet_neighbourhoods(self):
+        sys = magnetic_pendulum()
+        rng = np.random.default_rng(3)
+        magnets = sys.params["magnets"]
+        near = pendulum_plane(np.repeat(magnets, 2, axis=0)
+                              + rng.uniform(-1e-3, 1e-3, size=(6, 2)))
+        starts = np.vstack([sys.attractor_locations(), near])
+        self.assert_rows_match_scipy(sys, starts, 40.0, 1e-6, 1e-8, 0.02)
+
+    def test_pendulum_tight_tolerances(self):
+        coords = np.random.default_rng(4).uniform(-1.5, 1.5, size=(8, 2))
+        self.assert_rows_match_scipy(magnetic_pendulum(), pendulum_plane(coords),
+                                     40.0, 1e-10, 1e-12, 0.02)
+
+    def test_duffing(self):
+        starts = np.random.default_rng(5).uniform(-10.0, 10.0, size=(16, 2))
+        self.assert_rows_match_scipy(duffing(), starts, 20.0, 1e-10, 1e-12, 0.01)
+
+    def test_sample_interval_not_dividing_steps(self):
+        coords = np.random.default_rng(6).uniform(-1.5, 1.5, size=(6, 2))
+        self.assert_rows_match_scipy(magnetic_pendulum(), pendulum_plane(coords),
+                                     10.0, 1e-6, 1e-8, 0.0173)
+
+    def test_blow_up_row_fails_alone(self):
+        starts = np.array([[1.0], [-1.0], [0.1], [0.3]])
+        result, reached = self.assert_rows_match_scipy(blow_up(), starts, 2.0,
+                                                       1e-10, 1e-12, 0.1)
+        assert result.failed.tolist() == [True, False, False, False]
+        assert reached == [11, 21, 21, 21]
+        alone = integrate_adaptive(blow_up(), starts[1:], t_end=2.0, sample_dt=0.1)
+        assert alone.values.tobytes() == result.values[:, 1:].tobytes()
+
+    def test_single_form_is_batch_row(self):
+        sys = magnetic_pendulum()
+        starts = pendulum_plane(np.random.default_rng(7).uniform(-1.5, 1.5, size=(3, 2)))
+        batch = integrate_adaptive(sys, starts, t_end=10.0, rel_tol=1e-6, abs_tol=1e-8)
+        for i, start in enumerate(starts):
+            single = integrate_adaptive(sys, start, t_end=10.0, rel_tol=1e-6,
+                                        abs_tol=1e-8)
+            assert single.values.tobytes() == batch.values[:, i].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_raises(self, bad):
+        from scipy.integrate import solve_ivp
+
+        start = np.array([0.3, bad, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            solve_ivp(lambda t, s: s, (0.0, 1.0), start, method="DOP853")
+        for starts in (start, np.vstack([np.zeros(4), start])):
+            with pytest.raises(ValueError, match="finite"):
+                integrate_adaptive(magnetic_pendulum(), starts, t_end=1.0)
+
+
 class TestMakeSystem:
     def test_by_name(self):
         assert make_system("duffing", f0=1.0).params["f0"] == 1.0
