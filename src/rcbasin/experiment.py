@@ -123,6 +123,8 @@ class ExperimentConfig:
             raise ValueError("half widths must be positive")
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
+        if self.max_attempt_factor < 1:
+            raise ValueError("max_attempt_factor must be at least 1")
         if len(self.observe) < 1:
             raise ValueError("observe at least one component")
 
@@ -311,7 +313,8 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray,
     return labels, prefixes
 
 
-#: Candidate initial conditions integrated per rejection-sampling block.
+#: Smallest restricted rejection-sampling block, and the margin added to the
+#: draws a block is expected to need.
 _REJECT_BLOCK = 32
 
 
@@ -326,15 +329,29 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
     ``train_sig_len`` samples.  The observation mask is applied last.
 
     Candidates are drawn in blocks, each integrated as one ensemble by
-    either integrator, and examined in draw order, so the accepted set
-    depends only on the generator state, not on the block size.  A
-    candidate whose adaptive integration failed raises
-    :class:`StepSizeUnderflowError` when it is examined; candidates after
-    the last acceptance needed are never examined.
+    either integrator, and examined in draw order.  Uniform draws come in
+    sequence and every row of an ensemble is integrated independently of
+    its width, so the accepted set depends only on the generator state, not
+    on the block widths.  A candidate whose adaptive integration failed
+    raises :class:`StepSizeUnderflowError` when it is examined; candidates
+    after the last acceptance needed are never examined (nor labelled).
+
+    Blocks are sized from the ``need`` signals still missing: ``need`` when
+    sampling is unrestricted, ``max(_REJECT_BLOCK, need)`` before the first
+    acceptance, and afterwards the draws the acceptance rate so far expects,
+    ``ceil(need * attempts / accepted)``, plus a ``_REJECT_BLOCK`` margin.
+    Every block is clamped to :data:`CELL_CHUNK` and to the attempts left
+    under the cap, so one block holds at most ``CELL_CHUNK * (n_steps + 1)
+    * dim`` floats, where ``n_steps`` is the rejection horizon (or
+    ``train_sig_len - 1``).  A caller-supplied ``rng`` is left past the
+    whole last block, so its final position depends on the block widths.
 
     Raises :class:`SamplingExhaustedError` before the first draw if
     ``restrict_to_basin`` names no attractor of the system, and once the
-    attempt cap (``max_attempt_factor * n_train``) is reached.
+    attempt cap (``max_attempt_factor * n_train``) is reached.  Raises
+    :class:`InvalidWindowError` before the first draw if a restricted
+    fixed-point system's ``reject_horizon`` is shorter than the training
+    signals it must supply.
     """
     if sys is None:
         sys = system_from_config(cfg)
@@ -345,19 +362,29 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
         raise SamplingExhaustedError(
             f"restrict_to_basin {basin} names no attractor: {sys.name} has "
             f"{len(sys.attractors)}")
-    crit = criteria_from_config(cfg)
     if basin is None or sys.chaotic:
         n_steps = cfg.train_sig_len - 1
     else:
         n_steps = cfg.reject_horizon
+        if n_steps < cfg.train_sig_len - 1:
+            raise InvalidWindowError(
+                f"reject_horizon ({n_steps}) must be at least train_sig_len - 1 "
+                f"({cfg.train_sig_len - 1}): accepted trajectories supply the "
+                "training signals")
+    crit = criteria_from_config(cfg)
 
     signals: list[TimeSeries] = []
     attempts = 0
     cap = cfg.max_attempt_factor * cfg.n_train
     while len(signals) < cfg.n_train:
-        block = min(_REJECT_BLOCK, cap - attempts)
+        need = cfg.n_train - len(signals)
         if basin is None:
-            block = min(block, cfg.n_train - len(signals))
+            block = need
+        elif not signals:
+            block = max(_REJECT_BLOCK, need)
+        else:
+            block = -(-need * attempts // len(signals)) + _REJECT_BLOCK
+        block = min(block, CELL_CHUNK, cap - attempts)
         if block <= 0:
             raise SamplingExhaustedError(
                 f"accepted {len(signals)}/{cfg.n_train} signals in {attempts} "

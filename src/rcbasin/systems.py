@@ -376,8 +376,8 @@ def rk4_ensemble(sys: SystemDef, x0: np.ndarray, dt: float, n: int) -> np.ndarra
         n: Number of steps; the result holds n + 1 samples per run.
 
     Returns:
-        Array of shape (n + 1, m, dim) (leading run axis squeezed away for
-        a single initial condition is NOT done; pass x0 2-d for batches).
+        Array of shape (n + 1, m, dim); a single (dim,) start returns
+        (n + 1, 1, dim).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")

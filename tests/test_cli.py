@@ -104,6 +104,13 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "n_r" in err and "many" in err
 
+    def test_attempt_factor_below_one(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[system]\nname = duffing\n[experiment]\nmax_attempt_factor = 0\n")
+        code = run(["basin-map", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "max_attempt_factor must be at least 1" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_near_equilibrium_stays(self, duffing_ini, tmp_path, capsys):

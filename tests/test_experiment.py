@@ -58,6 +58,11 @@ class TestConfig:
         with pytest.raises(InvalidWindowError):
             default_config("multi_well", n_test=100, horizon=100)
 
+    @pytest.mark.parametrize("factor", [0, -3])
+    def test_attempt_factor_at_least_one(self, factor):
+        with pytest.raises(ValueError, match="max_attempt_factor must be at least 1"):
+            default_config("multi_well", max_attempt_factor=factor)
+
     def test_forced_duffing_drops_energy_barrier(self):
         cfg = default_config("duffing", system_params={"f0": 1.0})
         assert cfg.energy_barrier is None
@@ -236,6 +241,163 @@ class TestRestrictToBasinRange:
             with pytest.raises(SamplingExhaustedError, match=f"{basin}.*has 2"):
                 generate_training_set(cfg)
         assert calls == []
+
+
+def parent_generate_training_set(cfg):
+    """Reference: the sampling loop with fixed 32-candidate blocks."""
+    sys = system_from_config(cfg)
+    rng = np.random.default_rng(cfg.seed_sampling)
+    basin = cfg.restrict_to_basin
+    crit = experiment_mod.criteria_from_config(cfg)
+    if basin is None or sys.chaotic:
+        n_steps = cfg.train_sig_len - 1
+    else:
+        n_steps = cfg.reject_horizon
+
+    signals = []
+    attempts = 0
+    cap = cfg.max_attempt_factor * cfg.n_train
+    while len(signals) < cfg.n_train:
+        block = min(32, cap - attempts)
+        if basin is None:
+            block = min(block, cfg.n_train - len(signals))
+        if block <= 0:
+            raise SamplingExhaustedError(
+                f"accepted {len(signals)}/{cfg.n_train} signals in {attempts} "
+                "attempts; the requested basin may not intersect the sampling box")
+        coords = rng.uniform(-cfg.train_half_width, cfg.train_half_width,
+                             size=(block, 2))
+        ics = np.zeros((block, sys.dim))
+        ics[:, cfg.grid_axes[0]] = coords[:, 0]
+        ics[:, cfg.grid_axes[1]] = coords[:, 1]
+        trajectories, failed = experiment_mod._trajectories(cfg, sys, ics, n_steps)
+        for ic, values, fail in zip(ics, trajectories, failed):
+            attempts += 1
+            if fail:
+                raise experiment_mod._underflow(ic)
+            if basin is not None:
+                label = experiment_mod._label_block(sys, crit, values[None],
+                                                    range(sys.dim))[0]
+                if label != basin or not np.isfinite(values).all():
+                    continue
+            keep = values[:cfg.train_sig_len][:, list(cfg.observe)]
+            signals.append(experiment_mod.TimeSeries(keep, cfg.dt))
+            if len(signals) == cfg.n_train:
+                break
+    return signals
+
+
+class TestNeedSizedBlocks:
+    """Blocks are sized from the remaining need and accept the same signals."""
+
+    @staticmethod
+    def record_widths(monkeypatch):
+        widths = []
+        trajectories = experiment_mod._trajectories
+
+        def recording(cfg, sys, ics, n_steps):
+            widths.append(len(ics))
+            return trajectories(cfg, sys, ics, n_steps)
+
+        monkeypatch.setattr(experiment_mod, "_trajectories", recording)
+        return widths
+
+    @staticmethod
+    def assert_same_signals(cfg, monkeypatch):
+        expected = parent_generate_training_set(cfg)
+        widths = TestNeedSizedBlocks.record_widths(monkeypatch)
+        signals = generate_training_set(cfg)
+        assert len(signals) == len(expected) == cfg.n_train
+        for a, b in zip(signals, expected):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.dt == b.dt
+        return widths
+
+    def test_restricted_rk4(self, monkeypatch):
+        cfg = default_config("duffing", n_train=60, restrict_to_basin=0)
+        widths = self.assert_same_signals(cfg, monkeypatch)
+        assert widths[0] == 60 and len(widths) >= 2
+
+    @pytest.mark.parametrize("n_train, chunk, first", [(12, 5, 5), (40, 512, 40)])
+    def test_restricted_adaptive(self, n_train, chunk, first, monkeypatch):
+        # the first 32 candidates hold 12 acceptances: blocks of at most 5
+        # make the 12-signal case cross block boundaries
+        monkeypatch.setattr(experiment_mod, "CELL_CHUNK", chunk)
+        cfg = default_config("duffing", adaptive_truth=True, observe=(0, 1),
+                             n_train=n_train, restrict_to_basin=1, reject_horizon=1000,
+                             train_sig_len=200)
+        widths = self.assert_same_signals(cfg, monkeypatch)
+        assert widths[0] == first and len(widths) >= 2
+
+    def test_unrestricted_is_one_block(self, monkeypatch):
+        cfg = wells_config(n_train=40)
+        assert self.assert_same_signals(cfg, monkeypatch) == [40]
+
+    def test_restricted_chaotic(self, monkeypatch):
+        # blocks of at most 7 differ from the reference's 32 without the
+        # cost of labelling 33 accepted Lorenz candidates
+        monkeypatch.setattr(experiment_mod, "CELL_CHUNK", 7)
+        cfg = default_config("multistable_lorenz", restrict_to_basin=1,
+                             train_sig_len=600, n_train=3)
+        widths = self.assert_same_signals(cfg, monkeypatch)
+        assert widths[0] == 7
+
+    def test_blocks_clamped_to_cell_chunk(self, monkeypatch):
+        monkeypatch.setattr(experiment_mod, "CELL_CHUNK", 40)
+        cfg = default_config("duffing", n_train=60, restrict_to_basin=0)
+        widths = self.assert_same_signals(cfg, monkeypatch)
+        assert max(widths) == 40
+
+    def test_exhaustion_integrates_exactly_the_cap(self, monkeypatch):
+        # a quarter of the box lies in basin 0, so 80 draws yield about 20
+        cfg = wells_config(n_train=40, restrict_to_basin=0, max_attempt_factor=2)
+        widths = self.record_widths(monkeypatch)
+        with pytest.raises(SamplingExhaustedError, match="in 80 attempts"):
+            generate_training_set(cfg)
+        assert widths[0] == 40 and sum(widths) == 80
+
+    def test_candidates_labelled_lazily(self, monkeypatch):
+        import rcbasin.classify as classify_mod
+
+        calls = []
+        kl = classify_mod.kl_divergence
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return kl(*args, **kwargs)
+
+        monkeypatch.setattr(classify_mod, "kl_divergence", counting)
+        widths = self.record_widths(monkeypatch)
+        cfg = default_config("multistable_lorenz", restrict_to_basin=0,
+                             train_sig_len=600)
+        assert len(generate_training_set(cfg)) == cfg.n_train == 1
+        assert widths == [32]
+        assert len(calls) == 2  # the first candidate, against both lobes
+
+
+class TestSamplingWindow:
+    def test_short_reject_horizon_raises_before_any_integration(self, monkeypatch):
+        calls = []
+        for name in ("rk4_ensemble", "integrate_adaptive"):
+            monkeypatch.setattr(experiment_mod, name,
+                                lambda *args, **kwargs: calls.append(args))
+        for adaptive in (False, True):
+            cfg = default_config("duffing", n_train=2, restrict_to_basin=0,
+                                 reject_horizon=100, adaptive_truth=adaptive)
+            with pytest.raises(InvalidWindowError, match=r"\(100\).*\(499\)"):
+                generate_training_set(cfg)
+        assert calls == []
+
+    def test_horizon_of_signal_length_suffices(self):
+        cfg = default_config("duffing", n_train=2, restrict_to_basin=0,
+                             reject_horizon=499)
+        signals = generate_training_set(cfg)
+        assert [s.n_samples for s in signals] == [500, 500]
+
+    def test_chaotic_sampling_ignores_reject_horizon(self):
+        cfg = default_config("multistable_lorenz", restrict_to_basin=0,
+                             train_sig_len=600, reject_horizon=100)
+        assert generate_training_set(cfg)[0].n_samples == 600
 
 
 class TestAdaptiveTruthTasks:

@@ -399,6 +399,45 @@ class TestLockstepDop853:
                 integrate_adaptive(magnetic_pendulum(), starts, t_end=1.0)
 
 
+class TestEnsembleWidthInvariance:
+    """A row's trajectory does not depend on how many rows share its ensemble.
+
+    Rejection sampling sizes its blocks from the remaining need and relies on
+    this to accept the same signals for any block widths.
+    """
+
+    @staticmethod
+    def starts(sys, half_width, n=513):
+        rng = np.random.default_rng(11)
+        starts = rng.uniform(-half_width, half_width, size=(n, sys.dim))
+        starts[::50] *= 1e100  # far rows; all but the pendulum's overflow
+        return starts
+
+    @pytest.mark.parametrize("sys, half_width, dt", [
+        (duffing(), 10.0, 0.01),
+        (multi_well(), 4.0, 0.01),
+        (magnetic_pendulum(), 1.5, 0.02),
+        (multistable_lorenz(), 20.0, 0.02),
+    ], ids=["duffing", "multi_well", "magnetic_pendulum", "multistable_lorenz"])
+    def test_rk4_rows(self, sys, half_width, dt):
+        starts = self.starts(sys, half_width)
+        whole = rk4_ensemble(sys, starts, dt, 60)
+        for width in (1, 7, 32, 200):
+            for lo in (0, len(starts) - width):
+                part = rk4_ensemble(sys, starts[lo:lo + width], dt, 60)
+                assert part.tobytes() == whole[:, lo:lo + width].tobytes(), (width, lo)
+
+    def test_dop853_pendulum_rows(self):
+        sys = magnetic_pendulum()
+        starts = pendulum_plane(np.random.default_rng(12).uniform(-1.5, 1.5, size=(100, 2)))
+        kwargs = dict(t_end=10.0, rel_tol=1e-6, abs_tol=1e-8, sample_dt=0.02)
+        whole = integrate_adaptive(sys, starts, **kwargs)
+        for lo in range(0, len(starts), 32):
+            part = integrate_adaptive(sys, starts[lo:lo + 32], **kwargs)
+            assert part.values.tobytes() == whole.values[:, lo:lo + 32].tobytes()
+            assert part.failed.tolist() == whole.failed[lo:lo + 32].tolist()
+
+
 class TestMakeSystem:
     def test_by_name(self):
         assert make_system("duffing", f0=1.0).params["f0"] == 1.0

@@ -52,3 +52,28 @@ def test_traced_names_resolve_and_record():
     metrics = tracer.layer_metrics(run.spans)
     assert metrics["systems.adaptive_trajectories"] >= 2
     assert metrics["experiment.sampling_accepted"] == cfg.n_train
+
+
+def test_sampling_counters_follow_blocks(monkeypatch):
+    tracer = load_tracer()
+    cfg = default_config("duffing", n_r=50, resolution=2, n_train=40,
+                         restrict_to_basin=0)
+    widths = []
+    trajectories = rcbasin.experiment._trajectories
+
+    def recording(cfg_, sys, ics, n_steps):
+        if n_steps == cfg.reject_horizon:
+            widths.append(len(ics))
+        return trajectories(cfg_, sys, ics, n_steps)
+
+    monkeypatch.setattr(rcbasin.experiment, "_trajectories", recording)
+    run = tracer.Tracer("tier1")
+    run.install(rcbasin)
+    try:
+        run_basin_experiment(cfg)
+    finally:
+        run.uninstall()
+    metrics = tracer.layer_metrics(run.spans)
+    assert len(widths) >= 2
+    assert metrics["experiment.sampling_accepted"] == cfg.n_train
+    assert metrics["experiment.sampling_candidates"] == sum(widths)
