@@ -171,7 +171,8 @@ def classify_chaotic(traj: Trajectories, refs: Sequence[AttractorDescriptor],
     Computes the divergence of each reference distribution relative to the
     distribution of the last ``kl_tail`` samples and assigns the minimizer
     when it falls below ``kl_threshold``; a non-finite tail is
-    ``UNRESOLVED``.  Like :func:`classify_fixed_point`, a
+    ``UNRESOLVED``.  A reference spread of zero along some component is
+    floored at 1e-10.  Like :func:`classify_fixed_point`, a
     :class:`TimeSeries` gets one label and an (m, n_samples, d) array a
     list of m labels.
     """
@@ -185,7 +186,8 @@ def classify_chaotic(traj: Trajectories, refs: Sequence[AttractorDescriptor],
         if not ok:
             labels.append(UNRESOLVED)
             continue
-        divergences = [kl_divergence_safe(ref.reference, tail, rng=rng) for ref in refs]
+        divergences = [kl_divergence(ref.reference, tail, rng=rng, scale_floor=1e-10)
+                       for ref in refs]
         best = int(np.argmin(divergences))
         labels.append(best if divergences[best] < crit.kl_threshold else UNRESOLVED)
     return labels[0] if isinstance(traj, TimeSeries) else labels
@@ -314,17 +316,6 @@ def kl_divergence(ref_samples: np.ndarray, test_samples: np.ndarray,
     log_p_test = _log_mixture_density(draws, test, sigma_scale)
     log_p_test[~np.isfinite(log_p_test)] = np.log(eps)
     return float(np.mean(log_p_ref - log_p_test))
-
-
-def kl_divergence_safe(ref_samples: np.ndarray, test_samples: np.ndarray,
-                       rng: np.random.Generator | None = None, **kwargs) -> float:
-    """Like :func:`kl_divergence`, substituting an eps scale when the
-    reference cloud is degenerate along some component."""
-    try:
-        return kl_divergence(ref_samples, test_samples, rng=rng, **kwargs)
-    except DegenerateCloudError:
-        return kl_divergence(ref_samples, test_samples, rng=rng,
-                             scale_floor=1e-10, **kwargs)
 
 
 @dataclass(frozen=True)

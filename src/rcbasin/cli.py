@@ -267,13 +267,14 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         if name != "render":
             p.add_argument("--config", required=True, help="INI experiment config")
+            p.add_argument("--seed-reservoir", type=int, default=None)
+            p.add_argument("--seed-sampling", type=int, default=None)
+            p.add_argument("--seed-noise", type=int, default=None)
         else:
             p.add_argument("--map", required=True, help="persisted basin map CSV")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed-reservoir", type=int, default=None)
-        p.add_argument("--seed-sampling", type=int, default=None)
-        p.add_argument("--seed-noise", type=int, default=None)
-        p.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
+        if name in ("basin-map", "sweep"):
+            p.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
         if name in ("predict", "basin-map"):
             p.add_argument("--bundle", default=None, help="trained model bundle")
     args = parser.parse_args(argv)

@@ -62,7 +62,8 @@ class ExperimentConfig:
     """Complete, explicit description of one basin experiment.
 
     All randomness flows from the three seeds; two runs with equal configs
-    produce identical basin maps.
+    produce identical basin maps.  Construction runs every check, those of
+    the reservoir, training and criteria configs built from it included.
     """
 
     # system under study
@@ -127,6 +128,9 @@ class ExperimentConfig:
             raise ValueError("max_attempt_factor must be at least 1")
         if len(self.observe) < 1:
             raise ValueError("observe at least one component")
+        reservoir_spec_from_config(self)
+        train_config_from_config(self)
+        criteria_from_config(self)
 
 
 _PRESETS = {
@@ -386,9 +390,12 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
             block = -(-need * attempts // len(signals)) + _REJECT_BLOCK
         block = min(block, CELL_CHUNK, cap - attempts)
         if block <= 0:
+            hint = ("; the requested basin may not intersect the sampling box"
+                    if not signals else "")
             raise SamplingExhaustedError(
                 f"accepted {len(signals)}/{cfg.n_train} signals in {attempts} "
-                "attempts; the requested basin may not intersect the sampling box")
+                f"attempts ({len(signals) / attempts:.1%} acceptance), the cap of "
+                f"max_attempt_factor * n_train = {cap}{hint}")
         coords = rng.uniform(-cfg.train_half_width, cfg.train_half_width,
                              size=(block, 2))
         ics = np.zeros((block, sys.dim))

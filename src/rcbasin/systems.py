@@ -11,12 +11,13 @@ DOP853 whose every row is bit-identical to scipy's ``solve_ivp``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.optimize import root
 
 from .errors import NonFiniteError, StepSizeUnderflowError
 from .timeseries import TimeSeries
@@ -45,17 +46,16 @@ class AttractorDescriptor:
         if self.kind == FIXED_POINT:
             if self.location is None:
                 raise ValueError("fixed-point attractor needs a location")
-            loc = np.array(self.location, dtype=float)
-            loc.flags.writeable = False
-            object.__setattr__(self, "location", loc)
+            name = "location"
         elif self.kind == CHAOTIC:
             if self.reference is None or np.shape(self.reference)[0] < 500:
                 raise ValueError("chaotic attractor needs a reference of >= 500 samples")
-            ref = np.array(self.reference, dtype=float)
-            ref.flags.writeable = False
-            object.__setattr__(self, "reference", ref)
+            name = "reference"
         else:
             raise ValueError(f"unknown attractor kind {self.kind!r}")
+        frozen = np.array(getattr(self, name), dtype=float)
+        frozen.flags.writeable = False
+        object.__setattr__(self, name, frozen)
 
 
 @dataclass(frozen=True)
@@ -196,19 +196,15 @@ def magnet_distances(x, y) -> np.ndarray:
     return np.sqrt(dx**2 + dy**2 + _PEND_HEIGHT**2)
 
 
-#: Magnet coordinates as Python floats, for the single-state field.
-(_MX0, _MY0), (_MX1, _MY1), (_MX2, _MY2) = _PEND_MAGNETS.tolist()
-
-
 def _pendulum_field(state):
     """Pendulum flow on states of shape (..., 4).
 
-    A single state, the shape the adaptive integrator passes, takes a path
-    in Python floats that is bit-identical to the batched numpy path.
+    A single state is a one-row batch, so it rounds exactly as a row of a
+    batch does; the (4,) shape would flip the sign bit of some NaN results.
     """
     state = np.asarray(state, dtype=float)
-    if state.shape == (4,):
-        return _pendulum_field_point(*state.tolist())
+    if state.ndim == 1:
+        return _pendulum_field(state[None])[0]
     x, y = state[..., 0], state[..., 1]
     vx, vy = state[..., 2], state[..., 3]
     dx = _PEND_MAGNETS[:, 0] - x[..., None]
@@ -223,53 +219,29 @@ def _pendulum_field(state):
     return out
 
 
-def _pendulum_field_point(x, y, vx, vy):
-    """The batched field's operations, in its order, on one state."""
-    dx0, dx1, dx2 = _MX0 - x, _MX1 - x, _MX2 - x
-    dy0, dy1, dy2 = _MY0 - y, _MY1 - y, _MY2 - y
-    h2 = _PEND_HEIGHT**2
-    # numpy's SIMD power is not libm's pow and differs from Python's ** in
-    # the last bit, so the power stays one numpy call
-    i0, i1, i2 = (np.array([dx0 * dx0 + dy0 * dy0 + h2,
-                            dx1 * dx1 + dy1 * dy1 + h2,
-                            dx2 * dx2 + dy2 * dy2 + h2]) ** -1.5).tolist()
-    # np.sum adds from +0.0, left to right
-    ax = -_PEND_OMEGA0**2 * x - _PEND_GAMMA * vx + (0.0 + dx0 * i0 + dx1 * i1 + dx2 * i2)
-    ay = -_PEND_OMEGA0**2 * y - _PEND_GAMMA * vy + (0.0 + dy0 * i0 + dy1 * i1 + dy2 * i2)
-    return np.array([vx, vy, ax, ay])
-
-
-@lru_cache(maxsize=1)
 def _pendulum_equilibria() -> np.ndarray:
-    """Relax the damped flow from above each magnet until the field vanishes.
+    """Rest points of the pendulum, one root solve from above each magnet.
 
-    The equilibria are near, not exactly at, the magnet coordinates because
-    of the restoring term; relaxation runs all three starts in lock step
-    until every field norm is at or below 1e-10.
+    A rest point has zero velocity and zero planar acceleration; the
+    restoring term pulls it slightly off its magnet toward the origin.
     """
-    dt = 0.02
-    states = np.column_stack([_PEND_MAGNETS, np.zeros((3, 2))])
-    for _ in range(2_000_000):
-        f1 = _pendulum_field(states)
-        if np.max(np.sqrt(np.sum(f1**2, axis=-1))) <= 1e-10:
-            break
-        f2 = _pendulum_field(states + 0.5 * dt * f1)
-        f3 = _pendulum_field(states + 0.5 * dt * f2)
-        f4 = _pendulum_field(states + dt * f3)
-        states = states + (dt / 6.0) * (f1 + 2 * f2 + 2 * f3 + f4)
-    else:  # pragma: no cover
-        raise RuntimeError("pendulum equilibrium relaxation did not converge")
-    states.flags.writeable = False
-    return states
+    def acceleration(xy):
+        return _pendulum_field(np.concatenate([xy, [0.0, 0.0]]))[2:]
+
+    eqs = np.zeros((3, 4))
+    for i, magnet in enumerate(_PEND_MAGNETS):
+        # the default tolerance stops with a residual near 1e-13
+        sol = root(acceleration, magnet, tol=1e-14)
+        if not sol.success:  # pragma: no cover
+            raise RuntimeError(f"pendulum rest point solve failed: {sol.message}")
+        eqs[i, :2] = sol.x
+    return eqs
 
 
 def magnetic_pendulum() -> SystemDef:
     """Magnetic pendulum with three stable rest points and transient chaos."""
-    eqs = _pendulum_equilibria()
-    attractors = tuple(
-        AttractorDescriptor(FIXED_POINT, _PEND_LABELS[i], location=eqs[i])
-        for i in range(3)
-    )
+    attractors = tuple(AttractorDescriptor(FIXED_POINT, label, location=eq)
+                       for label, eq in zip(_PEND_LABELS, _pendulum_equilibria()))
     return SystemDef(
         name="magnetic_pendulum",
         dim=4,
@@ -333,17 +305,10 @@ def _lorenz_system_bare() -> SystemDef:
 def multistable_lorenz() -> SystemDef:
     """Lorenz-like system with an upper (z > 0) and a lower (z < 0) chaotic lobe."""
     upper, lower = _lorenz_references()
-    attractors = (
+    return replace(_lorenz_system_bare(), attractors=(
         AttractorDescriptor(CHAOTIC, "upper", reference=upper),
         AttractorDescriptor(CHAOTIC, "lower", reference=lower),
-    )
-    return SystemDef(
-        name="multistable_lorenz",
-        dim=3,
-        vector_field=_lorenz_field,
-        params={"a": _LORENZ_A, "b": _LORENZ_B, "c": _LORENZ_C},
-        attractors=attractors,
-    )
+    ))
 
 
 _SYSTEM_FACTORIES = {

@@ -13,7 +13,6 @@ from rcbasin.classify import (
     classify_chaotic,
     classify_fixed_point,
     kl_divergence,
-    kl_divergence_safe,
     make_outcome,
     nearest_attractor,
     nearest_magnet_baseline,
@@ -160,7 +159,7 @@ class TestKlDivergence:
         spread = np.random.default_rng(5).standard_normal((10, 2))
         with pytest.raises(DegenerateCloudError):
             kl_divergence(frozen, spread)
-        assert kl_divergence_safe(frozen, spread) > 100.0
+        assert kl_divergence(frozen, spread, scale_floor=1e-10) > 100.0
 
     def test_degenerate_test_cloud_allowed(self):
         rng = np.random.default_rng(6)
@@ -196,8 +195,8 @@ class TestKlReferenceCache:
     def test_degenerate_cloud_through_safe(self):
         frozen = np.ones((10, 2))
         spread = np.random.default_rng(5).standard_normal((10, 2))
-        assert kl_divergence_safe(frozen, spread) == kl_divergence_safe(
-            frozen, spread, rng=np.random.default_rng(0))
+        assert kl_divergence(frozen, spread, scale_floor=1e-10) == kl_divergence(
+            frozen, spread, rng=np.random.default_rng(0), scale_floor=1e-10)
 
     def test_in_place_edit_is_not_stale(self):
         rng = np.random.default_rng(10)

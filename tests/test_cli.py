@@ -111,6 +111,43 @@ class TestConfigValidation:
         assert code == 2
         assert "max_attempt_factor must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("training", "eta", "-1", "eta must be non-negative"),
+        ("criteria", "eps_c", "0", "eps_c must be positive"),
+        ("reservoir", "leakage", "2", "leakage must lie in [0, 1]"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "basin-map"])
+    def test_sub_config_check_before_any_work(self, tmp_path, capsys, command,
+                                              section, key, value, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[system]\nname = duffing\n[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: config does not validate: {message}" in \
+            capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "predict"])
+    def test_parallel_rejected_where_unread(self, wells_ini, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--config", wells_ini, "--out", str(tmp_path / "o"),
+                 "--parallel", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed-reservoir", "--seed-sampling",
+                                      "--seed-noise", "--parallel"])
+    def test_render_rejects_config_flags(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["render", "--map", str(tmp_path / "m.csv"), "--out",
+                 str(tmp_path / "o"), flag, "3"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_near_equilibrium_stays(self, duffing_ini, tmp_path, capsys):

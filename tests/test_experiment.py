@@ -58,6 +58,15 @@ class TestConfig:
         with pytest.raises(InvalidWindowError):
             default_config("multi_well", n_test=100, horizon=100)
 
+    @pytest.mark.parametrize("override, message", [
+        (dict(eta=-1), "eta must be non-negative"),
+        (dict(eps_c=0), "eps_c must be positive"),
+        (dict(leakage=2), "leakage must lie in"),
+    ])
+    def test_sub_config_checks_run_at_construction(self, override, message):
+        with pytest.raises(ValueError, match=message):
+            default_config("duffing", **override)
+
     @pytest.mark.parametrize("factor", [0, -3])
     def test_attempt_factor_at_least_one(self, factor):
         with pytest.raises(ValueError, match="max_attempt_factor must be at least 1"):
@@ -373,6 +382,29 @@ class TestNeedSizedBlocks:
         assert len(generate_training_set(cfg)) == cfg.n_train == 1
         assert widths == [32]
         assert len(calls) == 2  # the first candidate, against both lobes
+
+
+class TestExhaustionMessage:
+    """Exhaustion reports the acceptance rate and the cap it ran into."""
+
+    def test_quarter_basin_reports_rate_and_cap(self):
+        # a quarter of the box lies in basin 0: it plainly intersects the box
+        cfg = wells_config(n_train=40, restrict_to_basin=0, max_attempt_factor=2)
+        with pytest.raises(SamplingExhaustedError) as info:
+            generate_training_set(cfg)
+        message = str(info.value)
+        assert message.startswith("accepted 19/40 signals in 80 attempts")
+        assert "23.8% acceptance" in message
+        assert "max_attempt_factor * n_train = 80" in message
+        assert "may not intersect" not in message
+
+    def test_no_acceptance_doubts_the_box(self):
+        # both draws of sampling seed 1 land outside basin 0
+        cfg = wells_config(n_train=2, restrict_to_basin=0, max_attempt_factor=1)
+        with pytest.raises(SamplingExhaustedError,
+                           match=r"^accepted 0/2 signals in 2 attempts .*"
+                                 "may not intersect the sampling box$"):
+            generate_training_set(cfg)
 
 
 class TestSamplingWindow:

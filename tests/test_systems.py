@@ -117,6 +117,38 @@ class TestMagneticPendulum:
         assert np.all(offsets > 1e-3) and np.all(offsets < 0.05)
 
 
+class TestPendulumEquilibria:
+    """Root-solved rest points against those of the RK4 relaxation they replace."""
+
+    #: Rest points relaxed with RK4 (dt 0.02) until every field norm was at
+    #: or below 1e-10.
+    RELAXED = np.array([[float.fromhex(v) for v in row] for row in (
+        ("0x1.202599bd4874ap-1", "0x0.0p+0", "0x1.9980a627fbeedp-34", "0x0.0p+0"),
+        ("-0x1.202599bd48749p-2", "-0x1.f315c49b3f088p-2",
+         "-0x1.997c81fd9a74bp-35", "-0x1.62a0561f192a3p-34"),
+        ("-0x1.202599bd48743p-2", "0x1.f315c49b3f08bp-2",
+         "-0x1.9980953f9ce04p-35", "0x1.62a158460077fp-34"),
+    )])
+
+    def test_within_relaxation_tolerance_of_relaxed(self):
+        locs = magnetic_pendulum().attractor_locations()
+        assert np.abs(locs - self.RELAXED).max() <= 1e-10
+
+    def test_field_vanishes(self):
+        sys = magnetic_pendulum()
+        norms = np.linalg.norm(sys.vector_field(sys.attractor_locations()), axis=1)
+        assert np.all(norms <= 1e-13)
+
+    def test_velocities_exactly_zero(self):
+        locs = magnetic_pendulum().attractor_locations()
+        assert np.all(locs[:, 2:] == 0.0)
+
+    def test_repeatable(self):
+        first = magnetic_pendulum().attractor_locations()
+        second = magnetic_pendulum().attractor_locations()
+        assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+
+
 class TestPendulumFieldPaths:
     """A single state takes its own path; it must equal the batched one bit for bit."""
 
