@@ -164,8 +164,7 @@ def classify_fixed_point(traj: Trajectories, sys: SystemDef, crit: ConvergenceCr
 
 
 def classify_chaotic(traj: Trajectories, refs: Sequence[AttractorDescriptor],
-                     crit: ConvergenceCriteria,
-                     rng: np.random.Generator | None = None) -> Label | list[Label]:
+                     crit: ConvergenceCriteria) -> Label | list[Label]:
     """Assign each trajectory tail to the nearest reference attractor by divergence.
 
     Computes the divergence of each reference distribution relative to the
@@ -186,7 +185,7 @@ def classify_chaotic(traj: Trajectories, refs: Sequence[AttractorDescriptor],
         if not ok:
             labels.append(UNRESOLVED)
             continue
-        divergences = [kl_divergence(ref.reference, tail, rng=rng, scale_floor=1e-10)
+        divergences = [kl_divergence(ref.reference, tail, scale_floor=1e-10)
                        for ref in refs]
         best = int(np.argmin(divergences))
         labels.append(best if divergences[best] < crit.kl_threshold else UNRESOLVED)

@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import classify, experiment, training
+from . import experiment, training
 from .errors import RcbasinError
 from .experiment import ExperimentConfig, default_config
 from .reservoir import run_closed_loop, synchronize
@@ -143,7 +143,9 @@ class _OutputTracker:
                 os.remove(p)
 
 
-def _print_label(sys_def, label) -> None:
+def _print_label(cfg, sys_def, values, components) -> None:
+    crit = experiment.criteria_from_config(cfg)
+    label = experiment.label_trajectories(sys_def, crit, values[None], components)[0]
     if isinstance(label, int):
         print(f"converged to attractor {label} ({sys_def.attractors[label].label})")
     else:
@@ -162,9 +164,7 @@ def cmd_simulate(cfg, parser, out: _OutputTracker) -> None:
     print(f"wrote trajectory.csv ({series.n_samples} samples)")
     print("final state:", " ".join(repr(v) for v in values[-1]))
     if not sys_def.chaotic:
-        crit = experiment.criteria_from_config(cfg)
-        _print_label(sys_def, classify.classify_fixed_point(series, sys_def, crit,
-                                                            full_state=True))
+        _print_label(cfg, sys_def, values, range(sys_def.dim))
 
 
 def cmd_train(cfg, parser, out: _OutputTracker) -> None:
@@ -196,9 +196,7 @@ def cmd_predict(cfg, parser, out: _OutputTracker, bundle: str) -> None:
           f"prediction.csv ({n_pred} samples)")
     print("final predicted state:", " ".join(repr(v) for v in prediction.values[-1]))
     if not sys_def.chaotic:
-        crit = experiment.criteria_from_config(cfg)
-        _print_label(sys_def, classify.classify_fixed_point(
-            prediction, sys_def, crit, components=cfg.observe))
+        _print_label(cfg, sys_def, prediction.values, cfg.observe)
 
 
 def _print_summary(basin_map) -> None:
@@ -233,14 +231,10 @@ def cmd_sweep(cfg, parser, out: _OutputTracker, parallel: int) -> None:
     realizations = int(parser.get("sweep", "realizations", fallback="1"))
     rows, errors = experiment.run_sweep(cfg, n_train, half_train, half_test,
                                         realizations=realizations, parallel=parallel)
-    provenance = {"config_hash": experiment.config_hash(cfg),
-                  "seed_reservoir": cfg.seed_reservoir,
-                  "seed_sampling": cfg.seed_sampling,
-                  "seed_noise": cfg.seed_noise,
-                  "realizations": realizations}
     csv_path = out.path("sweep.csv")
     out.paths.append(csv_path + ".meta")
-    experiment.write_sweep_csv(rows, csv_path, provenance=provenance)
+    experiment.write_sweep_csv(rows, csv_path, provenance={
+        **experiment.provenance(cfg), "realizations": realizations})
     print(f"wrote sweep.csv ({len(rows)} rows, {len(errors)} failed cells)")
     for err in errors:
         print("failed:", err, file=sys.stderr)

@@ -14,10 +14,11 @@ are identical for any worker count.
 
 from __future__ import annotations
 
+import ast
+import functools
 import hashlib
-import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -186,11 +187,20 @@ def default_config(system: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
+#: The config fields every random stream is drawn from.
+_SEEDS = ("seed_reservoir", "seed_sampling", "seed_noise")
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable short hash of a config, for provenance stamping."""
     items = sorted(asdict(cfg).items())
     canon = ";".join(f"{k}={v!r}" for k, v in items)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def provenance(cfg: ExperimentConfig) -> dict:
+    """Config hash and seeds: the stamp every persisted artifact carries."""
+    return {"config_hash": config_hash(cfg), **{name: getattr(cfg, name) for name in _SEEDS}}
 
 
 def system_from_config(cfg: ExperimentConfig) -> SystemDef:
@@ -216,6 +226,14 @@ def train_config_from_config(cfg: ExperimentConfig) -> TrainConfig:
                        batch_max_states=cfg.batch_max_states, seed=cfg.seed_noise)
 
 
+def _embed(cfg: ExperimentConfig, dim: int, coords: np.ndarray) -> np.ndarray:
+    """Full states with ``coords`` on the grid plane and every other component zero."""
+    ics = np.zeros((coords.shape[0], dim))
+    ics[:, cfg.grid_axes[0]] = coords[:, 0]
+    ics[:, cfg.grid_axes[1]] = coords[:, 1]
+    return ics
+
+
 def make_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Uniform test grid in the configured plane.
 
@@ -223,16 +241,12 @@ def make_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     order over (axis0, axis1); ics embeds the coordinates into full state
     vectors with every off-plane component zero.
     """
-    sys = system_from_config(cfg)
     ticks = np.linspace(-cfg.test_half_width, cfg.test_half_width, cfg.resolution)
     if cfg.resolution == 1:
         ticks = np.array([0.0])
     a0, a1 = np.meshgrid(ticks, ticks, indexing="ij")
     coords = np.column_stack([a0.ravel(), a1.ravel()])
-    ics = np.zeros((coords.shape[0], sys.dim))
-    ics[:, cfg.grid_axes[0]] = coords[:, 0]
-    ics[:, cfg.grid_axes[1]] = coords[:, 1]
-    return coords, ics
+    return coords, _embed(cfg, system_from_config(cfg).dim, coords)
 
 
 def _trajectories(cfg: ExperimentConfig, sys: SystemDef, ics: np.ndarray,
@@ -266,17 +280,30 @@ def integrate_truth(cfg: ExperimentConfig, sys: SystemDef, ic: np.ndarray,
     return block[0]
 
 
-def _label_block(sys: SystemDef, crit: ConvergenceCriteria, block: np.ndarray,
-                 components: Sequence[int]) -> list[Label]:
+def label_trajectories(sys: SystemDef, crit: ConvergenceCriteria, block: np.ndarray,
+                       components: Sequence[int]) -> list[Label]:
     """Classifier label of each trajectory in an (m, n, len(components)) block.
 
-    Fully observed trajectories qualify for the energy test.
+    The one labelling rule of truth, training candidates and forecasts:
+    fully observed trajectories qualify for the energy test.
     """
     if sys.chaotic:
         return _classify.classify_chaotic(block, sys.attractors, crit)
     return _classify.classify_fixed_point(block, sys, crit,
                                           full_state=len(components) == sys.dim,
                                           components=components)
+
+
+def _run_jobs(fn, jobs: Sequence, parallel: int) -> list:
+    """``[fn(job) for job in jobs]``, in worker processes when ``parallel > 1``.
+
+    Results come back in job order either way.  An exception raised by ``fn``,
+    or a worker's death, ends the whole run.
+    """
+    if parallel > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=parallel) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def _truth_chunk(cfg: ExperimentConfig, ics_chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,7 +317,7 @@ def _truth_chunk(cfg: ExperimentConfig, ics_chunk: np.ndarray) -> tuple[np.ndarr
     if failed.any():
         raise _underflow(ics_chunk[np.argmax(failed)])
     labels = np.array([label if isinstance(label, int) else -1
-                       for label in _label_block(sys, crit, block, range(sys.dim))])
+                       for label in label_trajectories(sys, crit, block, range(sys.dim))])
     labels[~np.isfinite(block).all(axis=(1, 2))] = -1
     prefixes = np.ascontiguousarray(block[:, :cfg.n_test, list(cfg.observe)])
     return labels, prefixes
@@ -307,14 +334,8 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray,
     :class:`StepSizeUnderflowError` if any adaptive cell fails.
     """
     chunks = [ics[lo:lo + CELL_CHUNK] for lo in range(0, ics.shape[0], CELL_CHUNK)]
-    if parallel > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_truth_chunk, itertools.repeat(cfg), chunks))
-    else:
-        results = [_truth_chunk(cfg, chunk) for chunk in chunks]
-    labels = np.concatenate([r[0] for r in results])
-    prefixes = np.concatenate([r[1] for r in results])
-    return labels, prefixes
+    labels, prefixes = zip(*_run_jobs(functools.partial(_truth_chunk, cfg), chunks, parallel))
+    return np.concatenate(labels), np.concatenate(prefixes)
 
 
 #: Smallest restricted rejection-sampling block, and the margin added to the
@@ -322,8 +343,8 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray,
 _REJECT_BLOCK = 32
 
 
-def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
-                          rng: np.random.Generator | None = None) -> list[TimeSeries]:
+def generate_training_set(cfg: ExperimentConfig,
+                          sys: SystemDef | None = None) -> list[TimeSeries]:
     """Draw training signals by rejection sampling in the training box.
 
     Initial conditions are uniform on the configured plane (off-plane
@@ -347,8 +368,7 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
     Every block is clamped to :data:`CELL_CHUNK` and to the attempts left
     under the cap, so one block holds at most ``CELL_CHUNK * (n_steps + 1)
     * dim`` floats, where ``n_steps`` is the rejection horizon (or
-    ``train_sig_len - 1``).  A caller-supplied ``rng`` is left past the
-    whole last block, so its final position depends on the block widths.
+    ``train_sig_len - 1``).
 
     Raises :class:`SamplingExhaustedError` before the first draw if
     ``restrict_to_basin`` names no attractor of the system, and once the
@@ -359,8 +379,7 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
     """
     if sys is None:
         sys = system_from_config(cfg)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed_sampling)
+    rng = np.random.default_rng(cfg.seed_sampling)
     basin = cfg.restrict_to_basin
     if basin is not None and not 0 <= basin < len(sys.attractors):
         raise SamplingExhaustedError(
@@ -398,16 +417,14 @@ def generate_training_set(cfg: ExperimentConfig, sys: SystemDef | None = None,
                 f"max_attempt_factor * n_train = {cap}{hint}")
         coords = rng.uniform(-cfg.train_half_width, cfg.train_half_width,
                              size=(block, 2))
-        ics = np.zeros((block, sys.dim))
-        ics[:, cfg.grid_axes[0]] = coords[:, 0]
-        ics[:, cfg.grid_axes[1]] = coords[:, 1]
+        ics = _embed(cfg, sys.dim, coords)
         trajectories, failed = _trajectories(cfg, sys, ics, n_steps)
         for ic, values, fail in zip(ics, trajectories, failed):
             attempts += 1
             if fail:
                 raise _underflow(ic)
             if basin is not None:
-                label = _label_block(sys, crit, values[None], range(sys.dim))[0]
+                label = label_trajectories(sys, crit, values[None], range(sys.dim))[0]
                 if label != basin or not np.isfinite(values).all():
                     continue
             keep = values[:cfg.train_sig_len][:, list(cfg.observe)]
@@ -488,23 +505,17 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
         standardized = readout.standardizer.apply_values(chunk)
         states = drive_open_loop_batch(res, standardized)
         tails = run_closed_loop_batch(res, readout, states, n_pred, keep_last=needed_tail)
-        predicted = _label_block(sys, crit, tails, cfg.observe)
+        predicted = label_trajectories(sys, crit, tails, cfg.observe)
         outcomes.extend(make_outcome(label, int(truth))
                         for label, truth in zip(predicted, labels[lo:lo + CELL_CHUNK]))
 
     metrics = score(outcomes, labels)
     baseline = (None if sys.chaotic
                 else _classify.nearest_attractor(prefixes[:, -1, :], sys, cfg.observe))
-    provenance = {
-        "schema": _MAP_SCHEMA,
-        "config_hash": config_hash(cfg),
-        "seed_reservoir": cfg.seed_reservoir,
-        "seed_sampling": cfg.seed_sampling,
-        "seed_noise": cfg.seed_noise,
-    }
     return BasinMap(coords=coords, true_labels=labels, outcomes=outcomes,
                     resolution=cfg.resolution, metrics=metrics,
-                    provenance=provenance, baseline_labels=baseline)
+                    provenance={"schema": _MAP_SCHEMA, **provenance(cfg)},
+                    baseline_labels=baseline)
 
 
 # --------------------------------------------------------------------------
@@ -512,55 +523,66 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
 # --------------------------------------------------------------------------
 
 _MAP_SCHEMA = "rcbasin-basinmap-1"
+_MAP_HEADER = "ic_0,ic_1,true_label,pred_label,outcome"
+_SWEEP_HEADER = "n_train,half_train,half_test,realization,f_c,f_spurious"
+
+
+def _write_table(path, header: str, rows, meta: dict | None = None) -> None:
+    """Write ``rows`` as CSV under ``header``: floats by ``repr``, so they read
+    back bit for bit, other cells by ``str``.  ``meta`` goes to ``<path>.meta``
+    as ``key=repr(value)`` lines sorted by key.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+    if meta is not None:
+        with open(str(path) + ".meta", "w", encoding="ascii", newline="\n") as fh:
+            for key in sorted(meta):
+                fh.write(f"{key}={meta[key]!r}\n")
+
+
+def _read_table(path, header: str, what: str) -> list[list[str]]:
+    """The cells of a :func:`_write_table` CSV as strings, one list per row.
+
+    Raises :class:`SchemaMismatchError` naming ``what`` if the header differs.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise SchemaMismatchError(f"unexpected {what} header {found!r}")
+        return [line.strip().split(",") for line in fh]
 
 
 def persist(basin_map: BasinMap, path) -> None:
     """Write the map as CSV plus a key-value sidecar (``<path>.meta``)."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("ic_0,ic_1,true_label,pred_label,outcome\n")
-        for k in range(basin_map.coords.shape[0]):
-            out = basin_map.outcomes[k]
-            pred = -1 if out.attractor is None else out.attractor
-            fh.write(f"{float(basin_map.coords[k, 0])!r},{float(basin_map.coords[k, 1])!r},"
-                     f"{int(basin_map.true_labels[k])},{pred},{out.category}\n")
-    meta = dict(basin_map.provenance)
-    meta["resolution"] = basin_map.resolution
-    meta.update(basin_map.metrics.as_flat_dict())
-    with open(str(path) + ".meta", "w", encoding="ascii", newline="\n") as fh:
-        for key in sorted(meta):
-            fh.write(f"{key}={meta[key]!r}\n")
+    rows = ((float(c0), float(c1), int(truth), -1 if out.attractor is None else out.attractor,
+             out.category) for (c0, c1), truth, out
+            in zip(basin_map.coords, basin_map.true_labels, basin_map.outcomes))
+    meta = {**basin_map.provenance, "resolution": basin_map.resolution,
+            **basin_map.metrics.as_flat_dict()}
+    _write_table(path, _MAP_HEADER, rows, meta)
 
 
 def load_basin_map(path) -> BasinMap:
     """Read a persisted map; metrics are recomputed from the cells."""
-    import ast
-
-    meta = {}
     with open(str(path) + ".meta", "r", encoding="ascii") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            meta[key] = ast.literal_eval(value)
+        meta = {key: ast.literal_eval(value)
+                for key, _, value in (line.strip().partition("=") for line in fh)}
     if meta.get("schema") != _MAP_SCHEMA:
         raise SchemaMismatchError(f"unexpected basin map schema {meta.get('schema')!r}")
 
     coords, truths, outcomes = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "ic_0,ic_1,true_label,pred_label,outcome":
-            raise SchemaMismatchError(f"unexpected basin map header {header!r}")
-        for line in fh:
-            c0, c1, true_label, pred, category = line.strip().split(",")
-            coords.append((float(c0), float(c1)))
-            truths.append(int(true_label))
-            attractor = None if int(pred) < 0 else int(pred)
-            outcomes.append(BasinOutcome(category, attractor=attractor))
+    for c0, c1, truth, pred, category in _read_table(path, _MAP_HEADER, "basin map"):
+        coords.append((float(c0), float(c1)))
+        truths.append(int(truth))
+        outcomes.append(BasinOutcome(category, attractor=None if int(pred) < 0 else int(pred)))
     truths = np.array(truths, dtype=int)
-    provenance = {k: v for k, v in meta.items()
-                  if k in ("config_hash", "seed_reservoir", "seed_sampling", "seed_noise")}
-    provenance = {"schema": _MAP_SCHEMA, **provenance}
+    stamp = {key: meta[key] for key in ("config_hash", *_SEEDS) if key in meta}
     return BasinMap(coords=np.array(coords), true_labels=truths, outcomes=outcomes,
                     resolution=int(meta["resolution"]), metrics=score(outcomes, truths),
-                    provenance=provenance)
+                    provenance={"schema": _MAP_SCHEMA, **stamp})
 
 
 # --------------------------------------------------------------------------
@@ -619,16 +641,19 @@ class SweepRow:
     f_spurious: float
 
 
-def _sweep_cell(job) -> SweepRow:
+def _sweep_cell(job) -> tuple[SweepRow, str | None]:
+    """One sweep cell's row, or a row of NaN scores and the cell's error note."""
     cfg, n_train, half_train, half_test, realization = job
-    cell_cfg = replace(cfg, n_train=n_train, train_half_width=half_train,
-                       test_half_width=half_test,
-                       seed_reservoir=cfg.seed_reservoir + realization,
-                       seed_sampling=cfg.seed_sampling + realization)
-    basin_map = run_basin_experiment(cell_cfg, parallel=1)
-    return SweepRow(n_train=n_train, half_train=half_train, half_test=half_test,
-                    realization=realization, f_c=basin_map.metrics.f_c,
-                    f_spurious=basin_map.metrics.f_spurious)
+    try:
+        metrics = run_basin_experiment(replace(
+            cfg, n_train=n_train, train_half_width=half_train, test_half_width=half_test,
+            seed_reservoir=cfg.seed_reservoir + realization,
+            seed_sampling=cfg.seed_sampling + realization)).metrics
+    except Exception as exc:  # a cell's failure is recorded, not fatal
+        return (SweepRow(*job[1:], float("nan"), float("nan")),
+                f"cell(n_train={n_train}, half_train={half_train}, half_test={half_test}, "
+                f"realization={realization}): {exc}")
+    return SweepRow(*job[1:], metrics.f_c, metrics.f_spurious), None
 
 
 def run_sweep(cfg: ExperimentConfig, n_train_values: Sequence[int],
@@ -638,8 +663,9 @@ def run_sweep(cfg: ExperimentConfig, n_train_values: Sequence[int],
 
     Realization r runs with reservoir and sampling seeds offset by r, so
     realization 0 of any cell reproduces :func:`run_basin_experiment` on the
-    equivalent config exactly.  Failed cells are recorded (row with NaN
-    scores plus an error note) without aborting the sweep.
+    equivalent config exactly.  A cell that raises is recorded (row with NaN
+    scores plus an error note) without aborting the sweep; a worker process
+    that dies ends it.
 
     Returns (rows, errors).
     """
@@ -650,57 +676,16 @@ def run_sweep(cfg: ExperimentConfig, n_train_values: Sequence[int],
             for ht in train_half_values
             for hv in test_half_values
             for r in range(realizations)]
-    rows: list[SweepRow] = []
-    errors: list[str] = []
-
-    def handle(job, outcome, err):
-        if err is None:
-            rows.append(outcome)
-        else:
-            _, nt, ht, hv, r = job
-            rows.append(SweepRow(nt, ht, hv, r, float("nan"), float("nan")))
-            errors.append(f"cell(n_train={nt}, half_train={ht}, half_test={hv}, "
-                          f"realization={r}): {err}")
-
-    if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(_sweep_cell, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    handle(job, fut.result(), None)
-                except Exception as exc:  # cell failures recorded, not fatal
-                    handle(job, None, exc)
-    else:
-        for job in jobs:
-            try:
-                handle(job, _sweep_cell(job), None)
-            except Exception as exc:
-                handle(job, None, exc)
-    return rows, errors
+    results = _run_jobs(_sweep_cell, jobs, parallel)
+    return [row for row, _ in results], [err for _, err in results if err is not None]
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path,
                     provenance: dict | None = None) -> None:
     """Write sweep rows; provenance, when given, goes to a ``.meta`` sidecar."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("n_train,half_train,half_test,realization,f_c,f_spurious\n")
-        for row in rows:
-            fh.write(f"{row.n_train},{row.half_train!r},{row.half_test!r},"
-                     f"{row.realization},{row.f_c!r},{row.f_spurious!r}\n")
-    if provenance is not None:
-        with open(str(path) + ".meta", "w", encoding="ascii", newline="\n") as fh:
-            for key in sorted(provenance):
-                fh.write(f"{key}={provenance[key]!r}\n")
+    _write_table(path, _SWEEP_HEADER, (astuple(row) for row in rows), provenance)
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "n_train,half_train,half_test,realization,f_c,f_spurious":
-            raise SchemaMismatchError(f"unexpected sweep header {header!r}")
-        for line in fh:
-            nt, ht, hv, r, fc, fs = line.strip().split(",")
-            rows.append(SweepRow(int(nt), float(ht), float(hv), int(r),
-                                 float(fc), float(fs)))
-    return rows
+    return [SweepRow(int(nt), float(ht), float(hv), int(r), float(fc), float(fs))
+            for nt, ht, hv, r, fc, fs in _read_table(path, _SWEEP_HEADER, "sweep")]

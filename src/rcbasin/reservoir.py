@@ -241,8 +241,7 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
     input and ``(1 - leakage) r``; ``u`` holds the closed-loop output.  At
     leakage 1 the blend is skipped, so a non-finite start entry reaches the
     next state only through ``w_r`` (the blend's ``0 * r`` made it NaN).
-    The caller's ``r`` and ``inputs`` are never written.  From step 1 on the
-    state is C-ordered, as the pipeline's start columns are.
+    The caller's ``r`` and ``inputs`` are never written.
     """
     if w_out is not None and n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -273,7 +272,7 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
                     # not copied: matmul may round by its operands' layout
                     u = inputs[k]
             else:
-                np.matmul(w_out, r, out=u)
+                np.matmul(w_out, state, out=u)
                 if k >= first_kept:
                     records[k - first_kept] = u
                 if k + 1 == n_steps:
@@ -288,7 +287,6 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
                 np.tanh(pre, out=pre)
                 pre *= lam
                 np.add(pre, np.multiply(state, 1.0 - lam, out=term), out=state)
-            r = state
             if w_out is None and k >= first_kept:
                 records[k - first_kept] = state
     return records

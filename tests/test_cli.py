@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -47,6 +48,39 @@ n_train = 2, 3
 train_half_width = 6, 10
 test_half_width = 10
 realizations = 2
+"""
+
+#: Fully observed Duffing at a horizon where forecast tails are still
+#: spiralling in: the energy test labels them, the eps_c test would not.
+DUFFING_FULL_STATE = """
+[system]
+name = duffing
+
+[observation]
+components = 0, 1
+
+[experiment]
+n_train = 4
+resolution = 4
+horizon = 600
+n_test = 10
+"""
+
+#: A sweep whose n_train = 0 cell fails and whose n_train = 2 cell runs.
+TINY_SWEEP = """
+[system]
+name = multi_well
+
+[experiment]
+n_train = 4
+resolution = 3
+horizon = 400
+n_test = 5
+
+[sweep]
+n_train = 0, 2
+train_half_width = 4
+test_half_width = 4
 """
 
 
@@ -195,6 +229,23 @@ class TestTrainPredict:
         # initial condition (2, 2) sits in the trained-on quadrant
         assert np.abs(prediction.values[-1] - [1.0, 1.0]).max() < 0.3
 
+    def test_predict_prints_map_label(self, tmp_path, capsys):
+        ini = tmp_path / "duffing.ini"
+        ini.write_text(DUFFING_FULL_STATE)
+        bundle = str(tmp_path / "model" / "model.npz")
+        run(["train", "--config", str(ini), "--out", str(tmp_path / "model")])
+        run(["basin-map", "--config", str(ini), "--out", str(tmp_path / "map"),
+             "--parallel", "1", "--bundle", bundle])
+        cells = (tmp_path / "map" / "basin_map.csv").read_text().splitlines()[1:]
+        capsys.readouterr()
+        for cell in cells[::5]:
+            c0, c1, _, pred, _ = cell.split(",")
+            ini.write_text(DUFFING_FULL_STATE + f"[predict]\nic = {c0}, {c1}\n")
+            assert run(["predict", "--config", str(ini), "--out", str(tmp_path / "p"),
+                        "--bundle", bundle]) == 0
+            last = capsys.readouterr().out.splitlines()[-1]
+            assert last.startswith(f"converged to attractor {pred} "), (cell, last)
+
     def test_predict_requires_bundle(self, wells_ini, tmp_path, capsys):
         code = run(["predict", "--config", wells_ini, "--out", str(tmp_path / "p")])
         assert code == 2
@@ -282,6 +333,40 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+class TestArtifactBytes:
+    """Artifact digests pinned when the table codec was merged."""
+
+    MAP_SHA256 = {
+        "basin_map.csv": "fae2ac94259e2076e2687a9fdd4de8947a1e4feb0a00931ddc2ef11ab6853717",
+        "basin_map.csv.meta": "40dcd48b8062ef8d65a6dcb3db051cb678f90a79b67cbb94aa080e638f9cbce8",
+        "basin_map.ppm": "1ccd0f4648ed4e845e709e28695c99299c7a06e89ce886f2cacd5dd98e1d14af",
+    }
+    SWEEP_SHA256 = {
+        "sweep.csv": "cfc9281a3537069c3ed0253c8ae87614311d4724a9e72a72184d85de18999026",
+        "sweep.csv.meta": "8e08f553b6f57e6a522b14e2afbd43b1877eeaf9fa787fd2517f2736fc50a145",
+    }
+
+    @staticmethod
+    def digests(out, names):
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in names}
+
+    def test_basin_map(self, wells_ini, tmp_path):
+        out = tmp_path / "map"
+        assert run(["basin-map", "--config", wells_ini, "--out", str(out),
+                    "--parallel", "1"]) == 0
+        assert self.digests(out, self.MAP_SHA256) == self.MAP_SHA256
+
+    def test_sweep_with_failed_cell(self, tmp_path, capsys):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text(TINY_SWEEP)
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(ini), "--out", str(out),
+                    "--parallel", "1"]) == 0
+        assert "n_train=0" in capsys.readouterr().err
+        assert self.digests(out, self.SWEEP_SHA256) == self.SWEEP_SHA256
 
 
 class TestFailureCleanup:

@@ -1,3 +1,6 @@
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -285,8 +288,8 @@ def parent_generate_training_set(cfg):
             if fail:
                 raise experiment_mod._underflow(ic)
             if basin is not None:
-                label = experiment_mod._label_block(sys, crit, values[None],
-                                                    range(sys.dim))[0]
+                label = experiment_mod.label_trajectories(sys, crit, values[None],
+                                                          range(sys.dim))[0]
                 if label != basin or not np.isfinite(values).all():
                     continue
             keep = values[:cfg.train_sig_len][:, list(cfg.observe)]
@@ -661,6 +664,21 @@ class TestSweep:
         serial, _ = run_sweep(cfg, [2, 3], [4.0], [4.0], realizations=1, parallel=1)
         para, _ = run_sweep(cfg, [2, 3], [4.0], [4.0], realizations=1, parallel=2)
         assert serial == para
+
+    def test_parallel_records_failed_and_passing_cells(self):
+        # n_train = 0 fails the config check inside its worker
+        cfg = wells_config(resolution=3, horizon=400)
+        rows, errors = run_sweep(cfg, [0, 2], [4.0], [4.0], realizations=1, parallel=2)
+        serial, _ = run_sweep(cfg, [2], [4.0], [4.0], realizations=1, parallel=1)
+        assert [row.n_train for row in rows] == [0, 2]
+        assert np.isnan(rows[0].f_c) and np.isnan(rows[0].f_spurious)
+        assert rows[1] == serial[0]
+        assert len(errors) == 1 and "n_train=0" in errors[0]
+        assert "n_train must be at least 1" in errors[0]
+
+    def test_dead_worker_ends_the_run(self):
+        with pytest.raises(BrokenProcessPool):
+            experiment_mod._run_jobs(os._exit, [3, 3], parallel=2)
 
     def test_csv_round_trip(self, tmp_path):
         cfg = wells_config(resolution=3, horizon=400)

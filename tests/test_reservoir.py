@@ -436,8 +436,10 @@ class TestKernelIdentity:
         res, w_out, inputs, r0 = identity_case(n_in, leakage, columns, order=order)
         assert_same_bytes(_evolve(res, r0, 30, inputs=inputs, keep_last=keep_last),
                           parent_evolve(res, r0, 30, inputs=inputs, keep_last=keep_last))
+        # the closed loop reads its start from the kernel's C-ordered copy
         assert_same_bytes(_evolve(res, r0, 30, w_out=w_out, keep_last=keep_last),
-                          parent_evolve(res, r0, 30, w_out=w_out, keep_last=keep_last))
+                          parent_evolve(res, np.ascontiguousarray(r0), 30, w_out=w_out,
+                                        keep_last=keep_last))
 
     @pytest.mark.parametrize("n_in", [1, 2])
     @pytest.mark.parametrize("leakage", [1.0, 0.3])
@@ -506,6 +508,19 @@ class TestKernelIdentity:
         r0[3] = np.inf
         new = _evolve(res, r0, 4, inputs=np.ones((4, 1)))
         assert np.all(new[:, 3] == np.inf) and np.all(np.isfinite(np.delete(new, 3, axis=1)))
+
+
+class TestStartLayout:
+    @pytest.mark.parametrize("n_in", [1, 2])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    def test_closed_loop_ignores_memory_order(self, n_in, leakage):
+        res = build_reservoir(small_spec(n_r=60, n_in=n_in, leakage=leakage))
+        rng = np.random.default_rng(4)
+        ro = identity_readout(rng.standard_normal((n_in, 60)) * 0.3, n_in)
+        starts = rng.uniform(-1, 1, (16, 60))
+        c_out = run_closed_loop_batch(res, ro, np.ascontiguousarray(starts), 20)
+        f_out = run_closed_loop_batch(res, ro, np.asfortranarray(starts), 20)
+        assert_same_bytes(c_out, f_out)
 
 
 class TestCallerArraysUntouched:

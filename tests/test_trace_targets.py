@@ -12,14 +12,19 @@ import rcbasin
 import rcbasin.cli  # noqa: F401  (a traced module the package does not import)
 from rcbasin.experiment import default_config, run_basin_experiment
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_module("perfbench_tracer", TRACER_PATH)
 
 
 def test_traced_names_resolve_and_record():
@@ -77,3 +82,20 @@ def test_sampling_counters_follow_blocks(monkeypatch):
     assert len(widths) >= 2
     assert metrics["experiment.sampling_accepted"] == cfg.n_train
     assert metrics["experiment.sampling_candidates"] == sum(widths)
+
+
+def test_benchmark_span_contract(tmp_path):
+    # the benchmark's own check on a traced map, run as its child process runs it
+    bench = load_module("perfbench_run", PERFBENCH / "run.py")
+    tracer = bench.tracer
+    run = tracer.Tracer("tier1")
+    run.install(rcbasin)
+    main = run.span(tracer.ROOT, rcbasin.cli.main)
+    try:
+        code = main(["basin-map", "--config", str(PERFBENCH / "workloads" / "tiny_duffing.ini"),
+                     "--parallel", "1", "--out", str(tmp_path)])
+    finally:
+        run.uninstall()
+    assert code == 0
+    map_s = tracer.layer_metrics(run.spans)["trace.map_s"]
+    assert bench.span_problems("tiny_duffing", run.spans, map_s) == []
