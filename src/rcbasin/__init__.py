@@ -52,9 +52,7 @@ from .reservoir import (
     ReservoirSpec,
     build_reservoir,
     drive_open_loop,
-    load_reservoir,
     run_closed_loop,
-    save_reservoir,
     synchronize,
 )
 from .systems import (

@@ -16,6 +16,7 @@ import argparse
 import configparser
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 
 import numpy as np
@@ -242,8 +243,9 @@ def cmd_sweep(cfg, parser, out: _OutputTracker, parallel: int) -> None:
     for row in rows:
         by_cell.setdefault((row.n_train, row.half_train, row.half_test), []).append(row.f_c)
     for key, vals in sorted(by_cell.items()):
+        mean = float("nan") if np.isnan(vals).all() else np.nanmean(vals)
         print(f"n_train={key[0]} half_train={key[1]} half_test={key[2]} "
-              f"mean f_c={np.nanmean(vals):.4f}")
+              f"mean f_c={mean:.4f}")
 
 
 def cmd_render(map_path: str, out: _OutputTracker) -> None:
@@ -299,7 +301,7 @@ def main(argv=None) -> int:
         if out is not None:
             out.cleanup()
         return 2
-    except (RcbasinError, OSError, ValueError) as err:
+    except (RcbasinError, OSError, ValueError, BrokenProcessPool) as err:
         print(f"error: {err}", file=sys.stderr)
         if out is not None:
             out.cleanup()

@@ -7,9 +7,9 @@ horizon and labeled, the first ``n_test`` observed samples synchronize the
 reservoir, the closed loop forecasts the remaining steps, and the forecast
 tail is classified and compared against the truth.
 
-Truth integration and grid predictions are processed in fixed-size cell
-chunks.  Chunk boundaries never depend on the parallelism degree, so results
-are identical for any worker count.
+The grid is mapped in fixed-size cell chunks, each one job from truth to
+forecast label.  Chunk boundaries never depend on the parallelism degree, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -475,15 +475,34 @@ def train_from_config(cfg: ExperimentConfig,
     return res, readout, mse
 
 
+def _map_chunk(cfg: ExperimentConfig, res: Reservoir, readout: Readout,
+               ics_chunk: np.ndarray) -> tuple[np.ndarray, list[Label], np.ndarray]:
+    """Truth labels, forecast labels and last observed test samples of one chunk.
+
+    The truth is integrated and labelled, its first ``n_test`` observed
+    samples synchronize the reservoir, the closed loop runs to the horizon
+    and its tail is labelled.  The system is rebuilt here because a
+    :class:`SystemDef` holds closures and cannot be sent to a worker.
+    """
+    sys = system_from_config(cfg)
+    labels, prefixes = truth_and_test_signals(cfg, ics_chunk)
+    n_pred = cfg.horizon - cfg.n_test
+    needed_tail = min(n_pred, cfg.kl_tail if sys.chaotic else cfg.tail_len)
+    states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefixes))
+    tails = run_closed_loop_batch(res, readout, states, n_pred, keep_last=needed_tail)
+    predicted = label_trajectories(sys, criteria_from_config(cfg), tails, cfg.observe)
+    return labels, predicted, prefixes[:, -1, :].copy()
+
+
 def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
                          model=None) -> BasinMap:
     """Train a reservoir per the config and map the predicted basins.
 
     ``model`` may carry a pre-trained (reservoir, readout) pair, in which
-    case the training stage is skipped.
+    case the training stage is skipped.  The grid is mapped in fixed chunks
+    of :data:`CELL_CHUNK` cells, in worker processes when ``parallel > 1``.
     """
     sys = system_from_config(cfg)
-    crit = criteria_from_config(cfg)
 
     if model is not None:
         res, readout = model
@@ -495,23 +514,16 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
         res, readout, _ = train_from_config(cfg, sys)
 
     coords, ics = make_grid(cfg)
-    labels, prefixes = truth_and_test_signals(cfg, ics, parallel=parallel)
-
-    n_pred = cfg.horizon - cfg.n_test
-    needed_tail = min(n_pred, cfg.kl_tail if sys.chaotic else cfg.tail_len)
-    outcomes: list[BasinOutcome] = []
-    for lo in range(0, ics.shape[0], CELL_CHUNK):
-        chunk = prefixes[lo:lo + CELL_CHUNK]
-        standardized = readout.standardizer.apply_values(chunk)
-        states = drive_open_loop_batch(res, standardized)
-        tails = run_closed_loop_batch(res, readout, states, n_pred, keep_last=needed_tail)
-        predicted = label_trajectories(sys, crit, tails, cfg.observe)
-        outcomes.extend(make_outcome(label, int(truth))
-                        for label, truth in zip(predicted, labels[lo:lo + CELL_CHUNK]))
+    chunks = [ics[lo:lo + CELL_CHUNK] for lo in range(0, ics.shape[0], CELL_CHUNK)]
+    labels, predicted, ends = zip(*_run_jobs(functools.partial(_map_chunk, cfg, res, readout),
+                                             chunks, parallel))
+    labels = np.concatenate(labels)
+    outcomes = [make_outcome(label, int(truth))
+                for label, truth in zip([p for chunk in predicted for p in chunk], labels)]
 
     metrics = score(outcomes, labels)
     baseline = (None if sys.chaotic
-                else _classify.nearest_attractor(prefixes[:, -1, :], sys, cfg.observe))
+                else _classify.nearest_attractor(np.concatenate(ends), sys, cfg.observe))
     return BasinMap(coords=coords, true_labels=labels, outcomes=outcomes,
                     resolution=cfg.resolution, metrics=metrics,
                     provenance={"schema": _MAP_SCHEMA, **provenance(cfg)},

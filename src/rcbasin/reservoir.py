@@ -9,28 +9,19 @@ advance by
 either driven by an external signal (open loop) or by the trained readout's
 own output (closed loop).  One kernel runs it for single runs and for batches
 evolved in lock step as the columns of one state array (columns never
-interact); a step allocates only its sparse product.  The weight archive
-written here also carries model bundles.
+interact); a step allocates only its sparse product.
 """
 
 from __future__ import annotations
 
-import io
-import zipfile
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib import format as npformat
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteError,
-    SchemaMismatchError,
-    SingularSpectrumError,
-)
+from .errors import DimensionMismatchError, NonFiniteError, SingularSpectrumError
 from .timeseries import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -392,60 +383,3 @@ def run_closed_loop_batch(res: Reservoir, readout: "Readout", r_start: np.ndarra
     out = _evolve(res, states, n_steps, w_out=readout.w_out, keep_last=keep_last)
     return readout.standardizer.invert_values(out.transpose(2, 0, 1))
 
-
-_RESERVOIR_SCHEMA = "rcbasin-reservoir-1"
-
-
-def write_archive(path, schema: str, res: Reservoir, **extra: np.ndarray) -> None:
-    """Write the reservoir, plus ``extra`` members, as one byte-reproducible .npz.
-
-    Members: ``schema``, ``spec`` (its fields in order, as floats), the CSR
-    triple ``w_r_data``/``w_r_indices``/``w_r_indptr``, ``w_in`` and ``bias``.
-    Zip timestamps are pinned, where ``np.savez`` would stamp the current time.
-    """
-    if res.spec is None:
-        raise ValueError("only reservoirs built from a ReservoirSpec can be saved")
-    arrays = {
-        "schema": np.array(schema),
-        "spec": np.array(astuple(res.spec), dtype=float),
-        "w_r_data": res.w_r.data,
-        "w_r_indices": res.w_r.indices,
-        "w_r_indptr": res.w_r.indptr,
-        "w_in": res.w_in,
-        "bias": res.bias,
-        **extra,
-    }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
-        for name in sorted(arrays):
-            buf = io.BytesIO()
-            npformat.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
-
-
-def read_archive(path, schema: str, extra: tuple = ()) -> tuple[Reservoir, dict]:
-    """Return the reservoir and the ``extra`` members of a :func:`write_archive` file.
-
-    Raises :class:`SchemaMismatchError` unless it was written under ``schema``.
-    """
-    with np.load(path, allow_pickle=False) as archive:
-        if str(archive["schema"]) != schema:
-            raise SchemaMismatchError(
-                f"unexpected archive schema {archive['schema']}; expected {schema}")
-        spec = ReservoirSpec(*(int(v) if f.type == "int" else float(v)
-                               for f, v in zip(fields(ReservoirSpec), archive["spec"])))
-        w_r = sparse.csr_matrix(
-            (archive["w_r_data"], archive["w_r_indices"], archive["w_r_indptr"]),
-            shape=(spec.n_r, spec.n_r),
-        )
-        res = Reservoir(w_r, archive["w_in"], archive["bias"], spec.leakage, spec=spec)
-        return res, {name: archive[name] for name in extra}
-
-
-def save_reservoir(res: Reservoir, path) -> None:
-    """Serialize spec and weights so that loading reproduces bit-identical dynamics."""
-    write_archive(path, _RESERVOIR_SCHEMA, res)
-
-
-def load_reservoir(path) -> Reservoir:
-    return read_archive(path, _RESERVOIR_SCHEMA)[0]

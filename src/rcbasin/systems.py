@@ -185,17 +185,6 @@ _PEND_MAGNETS = np.array([
 _PEND_LABELS = ("pink", "blue", "yellow")
 
 
-def magnet_distances(x, y) -> np.ndarray:
-    """Distance from the bob at planar position (x, y) to each magnet.
-
-    The bob hangs a height above the magnet plane, so the distance at zero
-    planar offset equals that height.
-    """
-    dx = _PEND_MAGNETS[:, 0] - np.asarray(x)[..., None]
-    dy = _PEND_MAGNETS[:, 1] - np.asarray(y)[..., None]
-    return np.sqrt(dx**2 + dy**2 + _PEND_HEIGHT**2)
-
-
 def _pendulum_field(state):
     """Pendulum flow on states of shape (..., 4).
 

@@ -116,9 +116,6 @@ class Standardizer:
     def apply(self, signal: TimeSeries) -> TimeSeries:
         return TimeSeries(self.apply_values(signal.values), signal.dt, signal.t0)
 
-    def invert(self, signal: TimeSeries) -> TimeSeries:
-        return TimeSeries(self.invert_values(signal.values), signal.dt, signal.t0)
-
     def _check(self, values: np.ndarray):
         if np.shape(values)[-1] != self.n_components:
             raise DimensionMismatchError(

@@ -15,14 +15,23 @@ of which the first n_trans are dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import io
+import zipfile
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from numpy.lib import format as npformat
+from scipy import sparse
 
-from .errors import DimensionMismatchError, SingularSystemError, TooShortError
-from .reservoir import Reservoir, drive_open_loop, read_archive, write_archive
+from .errors import (
+    DimensionMismatchError,
+    SchemaMismatchError,
+    SingularSystemError,
+    TooShortError,
+)
+from .reservoir import Reservoir, ReservoirSpec, drive_open_loop
 from .timeseries import (
     Standardizer,
     TimeSeries,
@@ -92,8 +101,8 @@ class NormalAccumulator:
     Holds yrt = sum of target x state outer products (n_in x n_r), rrt =
     sum of state outer products (n_r x n_r, kept numerically symmetric),
     the pair count, and the sum of squared targets (for residual reports).
-    Batches may be accumulated, or accumulators merged, in any order; the
-    floating-point sums then agree up to rounding, not bit for bit.
+    Batches may be accumulated in any order; the floating-point sums then
+    agree up to rounding, not bit for bit.
     """
 
     def __init__(self, n_r: int, n_in: int):
@@ -117,15 +126,6 @@ class NormalAccumulator:
         self.yrt += targets.T @ states
         self.n_fit += states.shape[0]
         self.target_sq += float(np.sum(targets**2))
-        return self
-
-    def merge(self, other: "NormalAccumulator") -> "NormalAccumulator":
-        if other.rrt.shape != self.rrt.shape or other.yrt.shape != self.yrt.shape:
-            raise DimensionMismatchError("cannot merge accumulators of different shapes")
-        self.rrt += other.rrt
-        self.yrt += other.yrt
-        self.n_fit += other.n_fit
-        self.target_sq += other.target_sq
         return self
 
 
@@ -218,14 +218,54 @@ _MODEL_SCHEMA = "rcbasin-model-1"
 
 
 def save_model(path, res: Reservoir, readout: Readout) -> None:
-    """Persist the trained bundle (reservoir spec + weights + readout) in one file."""
-    write_archive(path, _MODEL_SCHEMA, res, w_out=readout.w_out,
-                  shift=readout.standardizer.shift, scale=readout.standardizer.scale,
-                  n_fit=np.array(readout.n_fit))
+    """Persist the trained bundle (reservoir spec + weights + readout) as one .npz.
+
+    Members: ``schema``, ``spec`` (its fields in order, as floats), the CSR
+    triple ``w_r_data``/``w_r_indices``/``w_r_indptr``, ``w_in``, ``bias``,
+    ``w_out``, the standardizer's ``shift`` and ``scale``, and ``n_fit``.
+    Zip timestamps are pinned, where ``np.savez`` would stamp the current
+    time, so equal bundles give equal bytes.
+    """
+    if res.spec is None:
+        raise ValueError("only reservoirs built from a ReservoirSpec can be saved")
+    arrays = {
+        "schema": np.array(_MODEL_SCHEMA),
+        "spec": np.array(astuple(res.spec), dtype=float),
+        "w_r_data": res.w_r.data,
+        "w_r_indices": res.w_r.indices,
+        "w_r_indptr": res.w_r.indptr,
+        "w_in": res.w_in,
+        "bias": res.bias,
+        "w_out": readout.w_out,
+        "shift": readout.standardizer.shift,
+        "scale": readout.standardizer.scale,
+        "n_fit": np.array(readout.n_fit),
+    }
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+        for name in sorted(arrays):
+            buf = io.BytesIO()
+            npformat.write_array(buf, np.asarray(arrays[name]), allow_pickle=False)
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, buf.getvalue())
 
 
 def load_model(path) -> tuple[Reservoir, Readout]:
-    res, arrays = read_archive(path, _MODEL_SCHEMA, ("w_out", "shift", "scale", "n_fit"))
-    return res, Readout(w_out=arrays["w_out"],
-                        standardizer=Standardizer(arrays["shift"], arrays["scale"]),
-                        n_fit=int(arrays["n_fit"]))
+    """Read a :func:`save_model` bundle; reloaded dynamics are bit-identical.
+
+    Raises :class:`SchemaMismatchError` unless it was written under this
+    module's model schema.
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        if str(archive["schema"]) != _MODEL_SCHEMA:
+            raise SchemaMismatchError(
+                f"unexpected archive schema {archive['schema']}; expected {_MODEL_SCHEMA}")
+        spec = ReservoirSpec(*(int(v) if f.type == "int" else float(v)
+                               for f, v in zip(fields(ReservoirSpec), archive["spec"])))
+        w_r = sparse.csr_matrix(
+            (archive["w_r_data"], archive["w_r_indices"], archive["w_r_indptr"]),
+            shape=(spec.n_r, spec.n_r),
+        )
+        res = Reservoir(w_r, archive["w_in"], archive["bias"], spec.leakage, spec=spec)
+        return res, Readout(w_out=archive["w_out"],
+                            standardizer=Standardizer(archive["shift"], archive["scale"]),
+                            n_fit=int(archive["n_fit"]))

@@ -1,11 +1,13 @@
 import hashlib
+import multiprocessing
+import os
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rcbasin import cli
+from rcbasin import cli, experiment
 from rcbasin.cli import main
 from rcbasin.experiment import ExperimentConfig, config_hash, load_basin_map
 from rcbasin.timeseries import read_csv
@@ -379,6 +381,29 @@ class TestFailureCleanup:
         code = run(["basin-map", "--config", str(cfg), "--out", str(out),
                     "--parallel", "1"])
         assert code == 1
+        assert not list(out.glob("*"))
+
+
+class TestDeadWorker:
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched labelling")
+    def test_dead_chunk_job_is_an_error_line(self, wells_ini, tmp_path, capsys,
+                                             monkeypatch):
+        parent = os.getpid()
+        label = experiment.label_trajectories
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "CELL_CHUNK", 10)  # 25 cells in 3 chunks
+        monkeypatch.setattr(experiment, "label_trajectories", dying)
+        out = tmp_path / "map"
+        assert run(["basin-map", "--config", wells_ini, "--out", str(out),
+                    "--parallel", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert not list(out.glob("*"))
 
 

@@ -548,6 +548,52 @@ class TestRunBasinExperiment:
         assert wells_map.baseline_f_c > 0.5
 
 
+class TestPooledChunks:
+    """Each cell chunk is one job, from truth to forecast label, wherever it runs."""
+
+    CONFIGS = {
+        # KL labelling of truth and forecasts runs in the workers
+        "multistable_lorenz": dict(n_r=50, restrict_to_basin=0, train_sig_len=600,
+                                   resolution=3, n_test=20, horizon=400, kl_tail=100),
+        # adaptive truth runs in the workers
+        "magnetic_pendulum": dict(n_r=50, n_train=2, train_sig_len=300, resolution=3,
+                                  n_test=20, horizon=300),
+    }
+
+    @staticmethod
+    def artifacts(basin_map, out):
+        out.mkdir()
+        persist(basin_map, out / "map.csv")
+        render_basin_map(basin_map, out / "map.ppm")
+        return [(out / name).read_bytes() for name in ("map.csv", "map.csv.meta", "map.ppm")]
+
+    @pytest.mark.parametrize("system", sorted(CONFIGS))
+    def test_artifacts_do_not_depend_on_parallel(self, system, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment_mod, "CELL_CHUNK", 4)  # 9 cells in 3 chunks
+        cfg = default_config(system, **self.CONFIGS[system])
+        serial = self.artifacts(run_basin_experiment(cfg, parallel=1), tmp_path / "p1")
+        pooled = self.artifacts(run_basin_experiment(cfg, parallel=2), tmp_path / "p2")
+        assert pooled == serial
+
+    def test_closed_loop_leaves_the_parent(self, monkeypatch):
+        monkeypatch.setattr(experiment_mod, "CELL_CHUNK", 12)  # 36 cells in 3 chunks
+        serial = run_basin_experiment(wells_config())
+        calls = []
+        closed_loop = experiment_mod.run_closed_loop_batch
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return closed_loop(*args, **kwargs)
+
+        # forked workers inherit the spy, but their calls land in their own copy
+        monkeypatch.setattr(experiment_mod, "run_closed_loop_batch", spy)
+        pooled = run_basin_experiment(wells_config(), parallel=2)
+        assert calls == []
+        assert np.array_equal(pooled.true_labels, serial.true_labels)
+        assert pooled.outcomes == serial.outcomes
+        assert np.array_equal(pooled.baseline_labels, serial.baseline_labels)
+
+
 class TestDuffingTruthStructure:
     def test_matches_stored_reference(self):
         # the two-basin spiral structure of the truth labels on the standard

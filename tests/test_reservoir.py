@@ -16,18 +16,15 @@ from rcbasin.reservoir import (
     drive_open_loop,
     drive_open_loop_batch,
     estimate_spectral_radius,
-    load_reservoir,
     run_closed_loop,
     run_closed_loop_batch,
-    save_reservoir,
     synchronize,
 )
 from rcbasin.timeseries import Standardizer, TimeSeries
 from rcbasin.training import Readout, TrainConfig, load_model, save_model, train
 
-#: Digests of the archives written for :func:`archived_reservoir` by the
-#: separate reservoir and model codecs before they were merged.
-RESERVOIR_SHA256 = "0ccc33eda663f88b10577e852bbbe9817ee0a3071a0c6e2022e5500d6041d74a"
+#: Digest of the model bundle written for :func:`archived_reservoir`, pinned
+#: before the reservoir and model codecs were merged.
 MODEL_SHA256 = "5d92aabc058eab0c00194e7f73326354ce19b2f59eed45e20ee2605046bb4074"
 
 
@@ -235,21 +232,29 @@ class TestSynchronize:
 
 
 class TestSerialization:
+    """A reservoir round-trips through the model bundle."""
+
     def test_round_trip_bit_identical_dynamics(self, tmp_path):
         res = build_reservoir(small_spec(n_in=2, seed=13))
-        path = tmp_path / "reservoir.npz"
-        save_reservoir(res, path)
-        back = load_reservoir(path)
-        signal = TimeSeries(np.random.default_rng(0).standard_normal((50, 2)), 0.1)
+        rng = np.random.default_rng(0)
+        ro = identity_readout(rng.standard_normal((2, res.n_r)) * 0.1, 2)
+        path = tmp_path / "model.npz"
+        save_model(path, res, ro)
+        back, ro_back = load_model(path)
+        signal = TimeSeries(rng.standard_normal((50, 2)), 0.1)
         a = drive_open_loop(res, signal, np.zeros(res.n_r))
         b = drive_open_loop(back, signal, np.zeros(back.n_r))
         assert np.array_equal(a, b)
+        r0 = a[-1]
+        assert np.array_equal(run_closed_loop(res, ro, r0, 20).values,
+                              run_closed_loop(back, ro_back, r0, 20).values)
 
     def test_repeated_save_byte_identical(self, tmp_path):
         res = build_reservoir(small_spec(seed=21))
+        ro = identity_readout(np.full((1, res.n_r), 0.01), 1)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-        save_reservoir(res, p1)
-        save_reservoir(res, p2)
+        save_model(p1, res, ro)
+        save_model(p2, res, ro)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -343,12 +348,7 @@ def archived_reservoir():
 
 
 class TestArchiveBytes:
-    """Archive bytes pinned when the reservoir and model codecs were merged."""
-
-    def test_reservoir_archive(self, tmp_path):
-        path = tmp_path / "reservoir.npz"
-        save_reservoir(archived_reservoir(), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == RESERVOIR_SHA256
+    """Model bundle bytes pinned when the reservoir and model codecs were merged."""
 
     def test_model_bundle(self, tmp_path):
         res = archived_reservoir()
@@ -364,14 +364,14 @@ class TestArchiveBytes:
         assert np.array_equal(ro_back.standardizer.scale, [2.0, 3.0])
 
     def test_schemas_not_interchangeable(self, tmp_path):
-        res_path, model_path = tmp_path / "reservoir.npz", tmp_path / "model.npz"
-        save_reservoir(archived_reservoir(), res_path)
-        with pytest.raises(SchemaMismatchError):
-            load_model(res_path)
-        ro = identity_readout(np.zeros((2, 6)), 2)
-        save_model(model_path, archived_reservoir(), ro)
-        with pytest.raises(SchemaMismatchError):
-            load_reservoir(model_path)
+        # a bundle with every member of a model but another schema string
+        model_path, foreign_path = tmp_path / "model.npz", tmp_path / "foreign.npz"
+        save_model(model_path, archived_reservoir(), identity_readout(np.zeros((2, 6)), 2))
+        with np.load(model_path) as archive:
+            members = dict(archive)
+        np.savez(foreign_path, **{**members, "schema": np.array("rcbasin-reservoir-1")})
+        with pytest.raises(SchemaMismatchError, match="rcbasin-reservoir-1"):
+            load_model(foreign_path)
 
 
 def parent_evolve(res, r, n_steps, inputs=None, w_out=None, keep_last=None):

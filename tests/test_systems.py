@@ -10,7 +10,6 @@ from rcbasin.systems import (
     duffing,
     integrate_adaptive,
     integrate_rk4,
-    magnet_distances,
     magnetic_pendulum,
     make_system,
     multi_well,
@@ -92,12 +91,6 @@ class TestMultiWell:
 
 
 class TestMagneticPendulum:
-    def test_distance_at_magnet_equals_height(self):
-        sys = magnetic_pendulum()
-        for mx, my in sys.params["magnets"]:
-            d = magnet_distances(mx, my)
-            assert d.min() == pytest.approx(0.2, abs=1e-15)
-
     def test_equilibria_are_zeros_of_field(self):
         assert_attracting_equilibria(magnetic_pendulum())
 

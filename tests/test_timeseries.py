@@ -85,8 +85,8 @@ class TestFitStandardizer:
         signals = [TimeSeries(rng.uniform(-3, 9, size=(25, 2)), 0.1)]
         st = fit_standardizer(signals)
         probe = TimeSeries(rng.uniform(-100, 100, size=(50, 2)), 0.1)
-        back = st.invert(st.apply(probe))
-        assert np.abs(back.values - probe.values).max() <= 1e-12 * st.scale.max()
+        back = st.invert_values(st.apply(probe).values)
+        assert np.abs(back - probe.values).max() <= 1e-12 * st.scale.max()
 
     def test_identity_standardizer(self):
         st = Standardizer.identity(2)

@@ -104,6 +104,8 @@ class TestAccumulator:
 
 
 class TestMerge:
+    """Two halves accumulated into one accumulator merge into the one-batch sums."""
+
     @staticmethod
     def halves(seed=4, rows=100):
         rng = np.random.default_rng(seed)
@@ -113,12 +115,11 @@ class TestMerge:
         first = NormalAccumulator(6, 2).accumulate(states[:half], targets[:half])
         second = NormalAccumulator(6, 2).accumulate(states[half:], targets[half:])
         whole = NormalAccumulator(6, 2).accumulate(states, targets)
-        return first, second, whole
+        merged = NormalAccumulator(6, 2).accumulate(states[:half], targets[:half])
+        return first, second, whole, merged.accumulate(states[half:], targets[half:])
 
     def test_halves_match_one_accumulation(self):
-        first, second, whole = self.halves()
-        merged = first.merge(second)
-        assert merged is first
+        _, _, whole, merged = self.halves()
         for name in ("rrt", "yrt"):
             diff = getattr(merged, name) - getattr(whole, name)
             assert np.linalg.norm(diff) <= 1e-12 * np.linalg.norm(getattr(whole, name))
@@ -126,19 +127,17 @@ class TestMerge:
         assert merged.n_fit == whole.n_fit
 
     def test_counts_add_exactly(self):
-        first, second, _ = self.halves(rows=37)
-        n_fit, target_sq = first.n_fit + second.n_fit, first.target_sq + second.target_sq
-        first.merge(second)
-        assert first.n_fit == n_fit == 37
-        assert first.target_sq == target_sq
+        first, second, _, merged = self.halves(rows=37)
+        assert merged.n_fit == first.n_fit + second.n_fit == 37
+        assert merged.target_sq == first.target_sq + second.target_sq
 
     @pytest.mark.parametrize("shape", [(5, 2), (6, 1), (4, 3)])
     def test_shape_mismatch(self, shape):
         acc = NormalAccumulator(6, 2)
         with pytest.raises(DimensionMismatchError):
-            acc.merge(NormalAccumulator(*shape))
+            acc.accumulate(np.zeros((3, shape[0])), np.zeros((3, shape[1])))
         with pytest.raises(DimensionMismatchError):
-            NormalAccumulator(*shape).merge(acc)
+            NormalAccumulator(*shape).accumulate(np.zeros((3, 6)), np.zeros((3, 2)))
 
 
 class TestSolveReadout:
