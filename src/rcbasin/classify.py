@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateCloudError, DimensionMismatchError
 from .systems import CHAOTIC, FIXED_POINT, AttractorDescriptor, SystemDef
@@ -192,23 +191,55 @@ def classify_chaotic(traj: Trajectories, refs: Sequence[AttractorDescriptor],
     return labels[0] if isinstance(traj, TimeSeries) else labels
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=1)`` of a real 2-d array, bit for bit.
+
+    Runs the steps of scipy 1.17's ``_logsumexp`` in its order, but
+    overwrites ``a`` instead of copying it: the row maxima are taken out of
+    the sum and counted, the rest is shifted, exponentiated and summed.  A
+    row whose maximum is finite has a finite result, so scipy's direct
+    ``log(sum(exp(a)))`` replaces exactly the rows whose maximum is
+    infinite or NaN; those are computed before ``a`` is overwritten.
+    """
+    a_max = np.max(a, axis=1, keepdims=True)
+    mask = a == a_max
+    m = np.sum(mask, axis=1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = ~np.isfinite(a_max[:, 0])
+        fallback = np.log(np.sum(np.exp(a[direct]), axis=1))
+        np.copyto(a, -np.inf, where=mask)
+        np.subtract(a, a_max, out=a)
+        np.exp(a, out=a)
+        s = np.sum(a, axis=1, keepdims=True)
+        np.divide(s, m, out=s, where=s != 0)
+        # No-ops for unweighted input, where s >= 0 and m >= 0; kept as scipy has them.
+        sgn = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+    out[sgn < 0] = np.nan
+    out = out[:, 0]
+    out[direct] = fallback
+    return out
+
+
 def _log_mixture_density(queries: np.ndarray, centers: np.ndarray,
                          bandwidth: float) -> np.ndarray:
     """Exact log density of an equal-weight isotropic Gaussian mixture.
 
     Evaluated through logsumexp so that far-away queries yield very negative
-    finite values rather than underflowing to zero.
+    finite values rather than underflowing to zero.  The log kernel is built
+    in one buffer, in the order of ``-(|q|^2 - 2 q.c + |c|^2) / (2 h^2)``
+    with the squared distance clamped at zero.
     """
     d = centers.shape[1]
-    sq = (
-        np.sum(queries**2, axis=1)[:, None]
-        - 2.0 * queries @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    log_kernel = -sq / (2.0 * bandwidth**2)
+    log_kernel = (2.0 * queries) @ centers.T
+    np.subtract(np.sum(queries**2, axis=1)[:, None], log_kernel, out=log_kernel)
+    np.add(log_kernel, np.sum(centers**2, axis=1)[None, :], out=log_kernel)
+    np.maximum(log_kernel, 0.0, out=log_kernel)
+    np.negative(log_kernel, out=log_kernel)
+    np.divide(log_kernel, 2.0 * bandwidth**2, out=log_kernel)
     log_norm = np.log(centers.shape[0]) + 0.5 * d * np.log(2.0 * np.pi * bandwidth**2)
-    return logsumexp(log_kernel, axis=1) - log_norm
+    return _logsumexp_rows(log_kernel) - log_norm
 
 
 #: Most queries per block when the reference mixture density is evaluated.

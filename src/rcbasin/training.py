@@ -99,7 +99,7 @@ class NormalAccumulator:
     """Running sums of the normal-equation blocks.
 
     Holds yrt = sum of target x state outer products (n_in x n_r), rrt =
-    sum of state outer products (n_r x n_r, kept numerically symmetric),
+    sum of state outer products (n_r x n_r, exactly symmetric),
     the pair count, and the sum of squared targets (for residual reports).
     Batches may be accumulated in any order; the floating-point sums then
     agree up to rounding, not bit for bit.
@@ -113,7 +113,7 @@ class NormalAccumulator:
 
     def accumulate(self, states: np.ndarray, targets: np.ndarray) -> "NormalAccumulator":
         """Add one aligned batch of states and targets; rows pair one-to-one."""
-        states = np.asarray(states, dtype=float)
+        states = np.ascontiguousarray(states, dtype=float)
         targets = np.asarray(targets, dtype=float)
         if states.ndim != 2 or targets.ndim != 2 or states.shape[0] != targets.shape[0]:
             raise DimensionMismatchError("states and targets must pair row by row")
@@ -121,8 +121,9 @@ class NormalAccumulator:
             return self
         if states.shape[1] != self.rrt.shape[0] or targets.shape[1] != self.yrt.shape[0]:
             raise DimensionMismatchError("batch width does not match accumulator")
-        block = states.T @ states
-        self.rrt += 0.5 * (block + block.T)
+        # On one C-ordered buffer numpy computes states.T @ states as a
+        # symmetric rank-k update, so the block is exactly symmetric.
+        self.rrt += states.T @ states
         self.yrt += targets.T @ states
         self.n_fit += states.shape[0]
         self.target_sq += float(np.sum(targets**2))

@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from rcbasin import classify as classify_mod
 from rcbasin.classify import (
     CORRECT,
     SPURIOUS,
@@ -22,11 +24,18 @@ from rcbasin.classify import (
     _cached_reference_side,
     _log_mixture_density,
     _log_mixture_density_blocked,
+    _logsumexp_rows,
     _reference_side,
     _tail_block,
 )
 from rcbasin.errors import DegenerateCloudError, DimensionMismatchError
-from rcbasin.systems import duffing, magnetic_pendulum, multi_well, multistable_lorenz
+from rcbasin.systems import (
+    duffing,
+    magnetic_pendulum,
+    multi_well,
+    multistable_lorenz,
+    rk4_ensemble,
+)
 from rcbasin.timeseries import TimeSeries
 
 DUFFING_CRIT = ConvergenceCriteria(eps_c=0.5, tail_len=25, energy_barrier=0.0)
@@ -239,6 +248,103 @@ class TestKlReferenceCache:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+def oracle_log_mixture_density(queries, centers, bandwidth):
+    """The mixture density as first written, through scipy's logsumexp."""
+    d = centers.shape[1]
+    sq = (
+        np.sum(queries**2, axis=1)[:, None]
+        - 2.0 * queries @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+    np.maximum(sq, 0.0, out=sq)
+    log_kernel = -sq / (2.0 * bandwidth**2)
+    log_norm = np.log(centers.shape[0]) + 0.5 * d * np.log(2.0 * np.pi * bandwidth**2)
+    return logsumexp(log_kernel, axis=1) - log_norm
+
+
+@pytest.fixture(scope="module")
+def lorenz_truth_tails(lorenz):
+    """Last 500 samples of eight RK4 Lorenz trajectories from the x = 0 plane."""
+    starts = np.zeros((8, 3))
+    starts[:, 1:] = np.random.default_rng(21).uniform(-20.0, 20.0, size=(8, 2))
+    x = rk4_ensemble(lorenz, starts, 0.02, 1500)
+    tails = np.ascontiguousarray(x[-500:].transpose(1, 0, 2))
+    assert np.isfinite(tails).all()
+    return tails
+
+
+class TestFusedDensity:
+    """The in-place density kernel reproduces the scipy-based formula bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 13),
+                                       (128, 500), (1000, 500), (3, 1001)])
+    def test_logsumexp_rows_equals_scipy(self, shape):
+        """Pins the installed scipy (1.17.1): if scipy changes its logsumexp
+        algorithm, this test is the one that should fail."""
+        rng = np.random.default_rng(shape[0] * 1009 + shape[1])
+        for a in (rng.standard_normal(shape), -rng.exponential(40.0, shape),
+                  rng.standard_normal(shape) * 1e3 - 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(_logsumexp_rows(a.copy()), logsumexp(a, axis=1))
+
+    def test_logsumexp_rows_edge_rows(self):
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((11, 6))
+        a[0] = -np.inf
+        a[1, 2] = np.inf
+        a[2, [1, 4]] = np.inf
+        a[3, 3] = np.nan
+        a[4, [0, 5]] = [np.nan, np.inf]
+        a[5, :3] = 2.5  # a three-way tie at the maximum
+        a[6] = 0.25  # the whole row tied
+        a[7, 1:] = -np.inf  # one finite entry
+        a[8] = -1e308
+        a[9] -= 1e300
+        a[10, [0, 2]] = [np.inf, -np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp_rows(a.copy())
+            expected = logsumexp(a, axis=1)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.isnan(got[[3, 4]]).all() and got[0] == -np.inf and got[1] == np.inf
+
+    def test_density_on_truth_tails(self, lorenz, lorenz_truth_tails):
+        for ref in (a.reference for a in lorenz.attractors):
+            center, spread, draws, _ = _reference_side(
+                ref, 1000, 1.0, 1e-10, 0.0, np.random.default_rng(0))
+            for tail in lorenz_truth_tails:
+                test = (tail - center) / spread
+                assert np.array_equal(_log_mixture_density(draws, test, 1.0),
+                                      oracle_log_mixture_density(draws, test, 1.0))
+
+    @pytest.mark.parametrize("bandwidth", [1.0, 0.3])
+    def test_density_on_far_and_degenerate_clouds(self, bandwidth):
+        rng = np.random.default_rng(23)
+        queries = rng.standard_normal((1000, 3))
+        far = rng.standard_normal((500, 3)) + np.array([80.0, -40.0, 10.0])
+        degenerate = np.full((500, 3), 2.0) + 1e-12 * rng.standard_normal((500, 3))
+        for centers in (far, degenerate, queries[:500]):
+            assert np.array_equal(
+                _log_mixture_density(queries, centers, bandwidth),
+                oracle_log_mixture_density(queries, centers, bandwidth))
+            assert np.array_equal(
+                _log_mixture_density_blocked(queries, centers, bandwidth),
+                np.concatenate([oracle_log_mixture_density(block, centers, bandwidth)
+                                for block in np.array_split(queries, 8)]))
+
+    def test_kl_divergence_unchanged_on_truth_tails(self, lorenz, lorenz_truth_tails,
+                                                    monkeypatch):
+        refs = [a.reference for a in lorenz.attractors]
+        pairs = [(ref, tail) for ref in refs for tail in lorenz_truth_tails[:3]]
+        fused = [kl_divergence(ref, tail, rng=np.random.default_rng(0))
+                 for ref, tail in pairs]
+        monkeypatch.setattr(classify_mod, "_log_mixture_density",
+                            oracle_log_mixture_density)
+        assert fused == [kl_divergence(ref, tail, rng=np.random.default_rng(0))
+                         for ref, tail in pairs]
 
 
 class TestScore:

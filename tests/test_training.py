@@ -75,6 +75,19 @@ class TestAccumulator:
         asym = np.abs(acc.rrt - acc.rrt.T).max()
         assert asym <= 1e-9 * np.abs(acc.rrt).max()
 
+    def test_exactly_symmetric_in_any_layout(self):
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((300, 40))
+        targets = rng.standard_normal((150, 1))
+        for states in (base[:150], np.asfortranarray(base[:150]), base[::2]):
+            acc = NormalAccumulator(40, 1).accumulate(states, targets)
+            acc.accumulate(states, targets)
+            assert np.array_equal(acc.rrt, acc.rrt.T)
+        states = base[:150]
+        block = states.T @ states
+        acc = NormalAccumulator(40, 1).accumulate(states, targets)
+        assert np.array_equal(acc.rrt, 0.5 * (block + block.T))
+
     def test_order_independent_merge(self):
         rng = np.random.default_rng(2)
         blocks = [(rng.standard_normal((10, 5)), rng.standard_normal((10, 1)))
