@@ -2,9 +2,12 @@
 
 Configuration is a flat INI file with sections mirroring the library
 modules; every omitted key falls back to the per-system defaults, so a
-minimal config is just ``[system]\\nname = duffing``.  All randomness flows
-from config-declared seeds (overridable on the command line); there is no
-wall-clock seeding, and results do not depend on ``--parallel``.
+minimal config is just ``[system]\\nname = duffing``.  Each key is declared
+once, by an :class:`ExperimentConfig` field or as a subcommand input, and
+:func:`read_config` checks every section before any work starts.  All
+randomness flows from config-declared seeds (overridable on the command
+line); there is no wall-clock seeding, and results do not depend on
+``--parallel``.
 
 Exit code 0 means the requested artifact was fully written; on failure,
 partially written files are removed.
@@ -42,42 +45,34 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 def _opt_int(text): return None if text.strip() == "" else int(text)
 def _opt_float(text): return None if text.strip() == "" else float(text)
+def _at_least_one(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 #: Value parser for each ExperimentConfig field annotation.
 _PARSERS = {"float": float, "int": int, "bool": _bool, "int | None": _opt_int,
             "float | None": _opt_float, "tuple[int, ...]": _ints, "tuple[int, int]": _ints}
 
-#: ExperimentConfig fields set by each INI section (``system`` and
-#: ``system_params`` come from ``[system]`` separately).
-_SECTIONS = {
-    "system": ("dt", "adaptive_truth", "rel_tol", "abs_tol"),
-    "observation": ("observe",),
-    "reservoir": ("n_r", "mean_degree", "spectral_radius", "input_strength",
-                  "bias_strength", "leakage"),
-    "training": ("n_trans", "alpha", "eta", "batch_max_states", "standardize_inputs"),
-    "experiment": ("n_train", "train_sig_len", "train_half_width", "restrict_to_basin",
-                   "reject_horizon", "max_attempt_factor", "grid_axes", "test_half_width",
-                   "resolution", "n_test", "horizon"),
-    "criteria": ("eps_c", "tail_len", "energy_barrier", "kl_threshold", "kl_tail"),
-    "seeds": ("seed_reservoir", "seed_sampling", "seed_noise"),
-}
+# (section, key) -> (config field, parser), from each field's ``ini`` metadata
+_FIELD_MAP = {(f.metadata["ini"][0], f.metadata["ini"][1] or f.name): (f.name, _PARSERS[f.type])
+              for f in fields(ExperimentConfig) if "ini" in f.metadata}
 
-#: INI keys that differ from their field names.
-_KEYS = {"observe": "components", "seed_reservoir": "reservoir",
-         "seed_sampling": "sampling", "seed_noise": "noise"}
-
-# (section, key) -> (config field, parser)
-_FIELD_MAP = {(section, _KEYS.get(f.name, f.name)): (f.name, _PARSERS[f.type])
-              for section, names in _SECTIONS.items()
-              for f in fields(ExperimentConfig) if f.name in names}
-
-#: Sections whose keys are consumed by subcommands rather than the config.
-_COMMAND_SECTIONS = ("simulate", "predict", "sweep")
+#: Subcommand inputs: (section, key) -> parser.
+_INPUTS = {("simulate", "ic"): _floats, ("simulate", "n_steps"): int,
+           ("predict", "ic"): _floats,
+           ("sweep", "n_train"): _ints, ("sweep", "train_half_width"): _floats,
+           ("sweep", "test_half_width"): _floats, ("sweep", "realizations"): int}
 
 
-def read_config(path) -> tuple[ExperimentConfig, configparser.ConfigParser]:
-    """Parse and fully validate an INI config before any computation starts."""
+def read_config(path) -> tuple[ExperimentConfig, dict]:
+    """Parse and fully validate an INI config before any computation starts.
+
+    Returns the config and the subcommand inputs, keyed by (section, key).
+    Any other ``[system]`` key is a float system parameter.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -87,42 +82,39 @@ def read_config(path) -> tuple[ExperimentConfig, configparser.ConfigParser]:
         raise ConfigError(f"config parse failure: {err}") from err
     if not parser.has_section("system") or not parser.has_option("system", "name"):
         raise ConfigError("missing required field: [system] name")
-    system = parser.get("system", "name")
 
     overrides: dict = {}
     system_params: dict = {}
+    inputs: dict = {}
     for section in parser.sections():
-        if section in _COMMAND_SECTIONS:
-            continue
         for key, raw in parser.items(section):
-            if section == "system" and key == "name":
+            if (section, key) == ("system", "name"):
                 continue
-            if section == "system" and ("system", key) not in _FIELD_MAP:
-                try:
-                    system_params[key] = float(raw)
-                except ValueError as err:
-                    raise ConfigError(f"invalid value in [system] {key}: {raw!r}") from err
-                continue
-            if (section, key) not in _FIELD_MAP:
+            if (section, key) in _FIELD_MAP:
+                (name, parse), target = _FIELD_MAP[(section, key)], overrides
+            elif (section, key) in _INPUTS:
+                name, parse, target = (section, key), _INPUTS[(section, key)], inputs
+            elif section == "system":
+                name, parse, target = key, float, system_params
+            else:
                 raise ConfigError(f"unknown key in [{section}]: {key}")
-            name, parse = _FIELD_MAP[(section, key)]
             try:
-                overrides[name] = parse(raw)
+                target[name] = parse(raw)
             except ValueError as err:
                 raise ConfigError(f"invalid value in [{section}] {key}: {raw!r}") from err
     if system_params:
         overrides["system_params"] = system_params
     try:
-        cfg = default_config(system, **overrides)
+        cfg = default_config(parser.get("system", "name"), **overrides)
     except (RcbasinError, ValueError) as err:
         raise ConfigError(f"config does not validate: {err}") from err
-    return cfg, parser
+    return cfg, inputs
 
 
-def _require(parser: configparser.ConfigParser, section: str, key: str) -> str:
-    if not parser.has_option(section, key):
+def _require(inputs: dict, section: str, key: str):
+    if (section, key) not in inputs:
         raise ConfigError(f"missing required field: [{section}] {key}")
-    return parser.get(section, key)
+    return inputs[(section, key)]
 
 
 class _OutputTracker:
@@ -153,9 +145,9 @@ def _print_label(cfg, sys_def, values, components) -> None:
         print(f"convergence label: {label}")
 
 
-def cmd_simulate(cfg, parser, out: _OutputTracker) -> None:
-    ic = _floats(_require(parser, "simulate", "ic"))
-    n_steps = int(_require(parser, "simulate", "n_steps"))
+def cmd_simulate(cfg, inputs: dict, out: _OutputTracker) -> None:
+    ic = _require(inputs, "simulate", "ic")
+    n_steps = _require(inputs, "simulate", "n_steps")
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[simulate] ic needs {sys_def.dim} components, got {len(ic)}")
@@ -168,7 +160,7 @@ def cmd_simulate(cfg, parser, out: _OutputTracker) -> None:
         _print_label(cfg, sys_def, values, range(sys_def.dim))
 
 
-def cmd_train(cfg, parser, out: _OutputTracker) -> None:
+def cmd_train(cfg, out: _OutputTracker) -> None:
     res, readout, mse = experiment.train_from_config(cfg)
     training.save_model(out.path("model.npz"), res, readout)
     print(f"wrote model.npz (n_r={cfg.n_r}, spectral_radius={cfg.spectral_radius}, "
@@ -177,11 +169,11 @@ def cmd_train(cfg, parser, out: _OutputTracker) -> None:
     print(f"training mse: {mse!r}")
 
 
-def cmd_predict(cfg, parser, out: _OutputTracker, bundle: str) -> None:
+def cmd_predict(cfg, inputs: dict, out: _OutputTracker, bundle: str) -> None:
     if bundle is None:
         raise ConfigError("predict requires --bundle MODEL")
     res, readout = training.load_model(bundle)
-    ic = _floats(_require(parser, "predict", "ic"))
+    ic = _require(inputs, "predict", "ic")
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[predict] ic needs {sys_def.dim} components, got {len(ic)}")
@@ -212,8 +204,7 @@ def _print_summary(basin_map) -> None:
         print(f"baseline f_c: {basin_map.baseline_f_c:.4f}")
 
 
-def cmd_basin_map(cfg, parser, out: _OutputTracker, parallel: int,
-                  bundle: str | None = None) -> None:
+def cmd_basin_map(cfg, out: _OutputTracker, parallel: int, bundle: str | None = None) -> None:
     model = training.load_model(bundle) if bundle else None
     basin_map = experiment.run_basin_experiment(cfg, parallel=parallel, model=model)
     csv_path = out.path("basin_map.csv")
@@ -225,11 +216,11 @@ def cmd_basin_map(cfg, parser, out: _OutputTracker, parallel: int,
     _print_summary(basin_map)
 
 
-def cmd_sweep(cfg, parser, out: _OutputTracker, parallel: int) -> None:
-    n_train = _ints(_require(parser, "sweep", "n_train"))
-    half_train = _floats(_require(parser, "sweep", "train_half_width"))
-    half_test = _floats(_require(parser, "sweep", "test_half_width"))
-    realizations = int(parser.get("sweep", "realizations", fallback="1"))
+def cmd_sweep(cfg, inputs: dict, out: _OutputTracker, parallel: int) -> None:
+    n_train = _require(inputs, "sweep", "n_train")
+    half_train = _require(inputs, "sweep", "train_half_width")
+    half_test = _require(inputs, "sweep", "test_half_width")
+    realizations = inputs.get(("sweep", "realizations"), 1)
     rows, errors = experiment.run_sweep(cfg, n_train, half_train, half_test,
                                         realizations=realizations, parallel=parallel)
     csv_path = out.path("sweep.csv")
@@ -270,7 +261,7 @@ def main(argv=None) -> int:
             p.add_argument("--map", required=True, help="persisted basin map CSV")
         p.add_argument("--out", required=True, help="output directory")
         if name in ("basin-map", "sweep"):
-            p.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
+            p.add_argument("--parallel", type=_at_least_one, default=os.cpu_count() or 1)
         if name in ("predict", "basin-map"):
             p.add_argument("--bundle", default=None, help="trained model bundle")
     args = parser.parse_args(argv)
@@ -281,20 +272,20 @@ def main(argv=None) -> int:
         if args.command == "render":
             cmd_render(args.map, out)
             return 0
-        cfg, ini = read_config(args.config)
+        cfg, inputs = read_config(args.config)
         seeds = {name: getattr(args, name)
                  for name in ("seed_reservoir", "seed_sampling", "seed_noise")}
         cfg = replace(cfg, **{k: v for k, v in seeds.items() if v is not None})
         if args.command == "simulate":
-            cmd_simulate(cfg, ini, out)
+            cmd_simulate(cfg, inputs, out)
         elif args.command == "train":
-            cmd_train(cfg, ini, out)
+            cmd_train(cfg, out)
         elif args.command == "predict":
-            cmd_predict(cfg, ini, out, args.bundle)
+            cmd_predict(cfg, inputs, out, args.bundle)
         elif args.command == "basin-map":
-            cmd_basin_map(cfg, ini, out, args.parallel, args.bundle)
+            cmd_basin_map(cfg, out, args.parallel, args.bundle)
         elif args.command == "sweep":
-            cmd_sweep(cfg, ini, out, args.parallel)
+            cmd_sweep(cfg, inputs, out, args.parallel)
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

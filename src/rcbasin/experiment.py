@@ -51,11 +51,16 @@ from .reservoir import (
     run_closed_loop_batch,
 )
 from .systems import SystemDef, integrate_adaptive, make_system, rk4_ensemble
-from .timeseries import Standardizer, TimeSeries
+from .timeseries import Standardizer, TimeSeries, write_table
 from .training import Readout, TrainConfig
 
 #: Cells processed per batch; fixed so numerics do not depend on parallelism.
 CELL_CHUNK = 512
+
+
+def _ini(section: str, default, key: str | None = None):
+    """A config field set by ``key`` (the field name when omitted) in INI ``[section]``."""
+    return field(default=default, metadata={"ini": (section, key)})
 
 
 @dataclass(frozen=True)
@@ -65,52 +70,54 @@ class ExperimentConfig:
     All randomness flows from the three seeds; two runs with equal configs
     produce identical basin maps.  Construction runs every check, those of
     the reservoir, training and criteria configs built from it included.
+    Each field but ``system`` and ``system_params`` names the INI section
+    and key that set it.
     """
 
     # system under study
     system: str
     system_params: dict = field(default_factory=dict)
-    dt: float = 0.01
-    adaptive_truth: bool = False
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    dt: float = _ini("system", 0.01)
+    adaptive_truth: bool = _ini("system", False)
+    rel_tol: float = _ini("system", 1e-10)
+    abs_tol: float = _ini("system", 1e-12)
     # what the reservoir sees
-    observe: tuple[int, ...] = (0,)
-    grid_axes: tuple[int, int] = (0, 1)
+    observe: tuple[int, ...] = _ini("observation", (0,), key="components")
+    grid_axes: tuple[int, int] = _ini("experiment", (0, 1))
     # reservoir construction
-    n_r: int = 200
-    mean_degree: float = 10.0
-    spectral_radius: float = 0.4
-    input_strength: float = 1.0
-    bias_strength: float = 0.5
-    leakage: float = 1.0
+    n_r: int = _ini("reservoir", 200)
+    mean_degree: float = _ini("reservoir", 10.0)
+    spectral_radius: float = _ini("reservoir", 0.4)
+    input_strength: float = _ini("reservoir", 1.0)
+    bias_strength: float = _ini("reservoir", 0.5)
+    leakage: float = _ini("reservoir", 1.0)
     # training
-    n_trans: int = 5
-    alpha: float = 1e-12
-    eta: float = 1e-5
-    batch_max_states: int = 4096
-    standardize_inputs: bool = True
-    n_train: int = 10
-    train_sig_len: int = 500
-    train_half_width: float = 10.0
-    restrict_to_basin: int | None = None
-    reject_horizon: int = 4000
-    max_attempt_factor: int = 1000
+    n_trans: int = _ini("training", 5)
+    alpha: float = _ini("training", 1e-12)
+    eta: float = _ini("training", 1e-5)
+    batch_max_states: int = _ini("training", 4096)
+    standardize_inputs: bool = _ini("training", True)
+    n_train: int = _ini("experiment", 10)
+    train_sig_len: int = _ini("experiment", 500)
+    train_half_width: float = _ini("experiment", 10.0)
+    restrict_to_basin: int | None = _ini("experiment", None)
+    reject_horizon: int = _ini("experiment", 4000)
+    max_attempt_factor: int = _ini("experiment", 1000)
     # test grid and forecast window
-    test_half_width: float = 10.0
-    resolution: int = 50
-    n_test: int = 10
-    horizon: int = 2000
+    test_half_width: float = _ini("experiment", 10.0)
+    resolution: int = _ini("experiment", 50)
+    n_test: int = _ini("experiment", 10)
+    horizon: int = _ini("experiment", 2000)
     # convergence criteria
-    eps_c: float = 0.5
-    tail_len: int = 25
-    energy_barrier: float | None = None
-    kl_threshold: float | None = None
-    kl_tail: int = 500
+    eps_c: float = _ini("criteria", 0.5)
+    tail_len: int = _ini("criteria", 25)
+    energy_barrier: float | None = _ini("criteria", None)
+    kl_threshold: float | None = _ini("criteria", None)
+    kl_tail: int = _ini("criteria", 500)
     # seeds
-    seed_reservoir: int = 0
-    seed_sampling: int = 1
-    seed_noise: int = 2
+    seed_reservoir: int = _ini("seeds", 0, key="reservoir")
+    seed_sampling: int = _ini("seeds", 1, key="sampling")
+    seed_noise: int = _ini("seeds", 2, key="noise")
 
     def __post_init__(self):
         if self.resolution < 1:
@@ -134,38 +141,27 @@ class ExperimentConfig:
         criteria_from_config(self)
 
 
+#: Per-system presets: only the fields that differ from the defaults.
 _PRESETS = {
-    "duffing": dict(
-        system="duffing", dt=0.01, observe=(0,), grid_axes=(0, 1),
-        n_r=200, input_strength=1.0, n_trans=5, alpha=1e-12, eta=1e-5,
-        n_train=10, train_sig_len=500, train_half_width=10.0,
-        test_half_width=10.0, resolution=150, n_test=10, horizon=2000,
-        eps_c=0.5, energy_barrier=0.0,
-    ),
+    "duffing": dict(resolution=150, energy_barrier=0.0),
     "multi_well": dict(
-        system="multi_well", dt=0.01, observe=(0, 1), grid_axes=(0, 1),
-        n_r=200, input_strength=1.0, n_trans=5, alpha=1e-12, eta=1e-5,
-        n_train=25, train_sig_len=500, train_half_width=4.0,
-        test_half_width=4.0, resolution=10, n_test=5, horizon=2000,
-        eps_c=0.25,
+        observe=(0, 1), n_train=25, train_half_width=4.0, test_half_width=4.0,
+        resolution=10, n_test=5, eps_c=0.25,
     ),
     "magnetic_pendulum": dict(
-        system="magnetic_pendulum", dt=0.02, adaptive_truth=True,
+        dt=0.02, adaptive_truth=True,
         # truth labels agree with rel_tol 1e-10 at these tolerances, at a
         # third of the integration cost
         rel_tol=1e-6, abs_tol=1e-8,
-        observe=(0, 1), grid_axes=(0, 1),
-        n_r=2500, input_strength=5.0, n_trans=25, alpha=1e-10, eta=1e-3,
-        n_train=100, train_sig_len=500, train_half_width=1.5,
-        test_half_width=1.5, resolution=300, n_test=100, horizon=2000,
-        eps_c=0.25,
+        observe=(0, 1), n_r=2500, input_strength=5.0, n_trans=25, alpha=1e-10,
+        eta=1e-3, n_train=100, train_half_width=1.5, test_half_width=1.5,
+        resolution=300, n_test=100, eps_c=0.25,
     ),
     "multistable_lorenz": dict(
-        system="multistable_lorenz", dt=0.02, observe=(0, 1, 2), grid_axes=(1, 2),
-        n_r=500, input_strength=0.5, n_trans=5, alpha=1e-10, eta=1e-3,
-        n_train=1, train_sig_len=5000, train_half_width=20.0,
+        dt=0.02, observe=(0, 1, 2), grid_axes=(1, 2), n_r=500, input_strength=0.5,
+        alpha=1e-10, eta=1e-3, n_train=1, train_sig_len=5000, train_half_width=20.0,
         test_half_width=20.0, resolution=100, n_test=50, horizon=5000,
-        eps_c=1.0, kl_threshold=1.0, kl_tail=500,
+        eps_c=1.0, kl_threshold=1.0,
     ),
 }
 
@@ -179,12 +175,11 @@ def default_config(system: str, **overrides) -> ExperimentConfig:
     """
     if system not in _PRESETS:
         raise ValueError(f"unknown system {system!r}; choose from {sorted(_PRESETS)}")
-    merged = dict(_PRESETS[system])
-    merged.update(overrides)
+    merged = {**_PRESETS[system], **overrides}
     forced = merged.get("system_params", {}).get("f0", 0.0) != 0.0
     if system == "duffing" and forced and "energy_barrier" not in overrides:
         merged["energy_barrier"] = None
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(system, **merged)
 
 
 #: The config fields every random stream is drawn from.
@@ -539,24 +534,8 @@ _MAP_HEADER = "ic_0,ic_1,true_label,pred_label,outcome"
 _SWEEP_HEADER = "n_train,half_train,half_test,realization,f_c,f_spurious"
 
 
-def _write_table(path, header: str, rows, meta: dict | None = None) -> None:
-    """Write ``rows`` as CSV under ``header``: floats by ``repr``, so they read
-    back bit for bit, other cells by ``str``.  ``meta`` goes to ``<path>.meta``
-    as ``key=repr(value)`` lines sorted by key.
-    """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-    if meta is not None:
-        with open(str(path) + ".meta", "w", encoding="ascii", newline="\n") as fh:
-            for key in sorted(meta):
-                fh.write(f"{key}={meta[key]!r}\n")
-
-
 def _read_table(path, header: str, what: str) -> list[list[str]]:
-    """The cells of a :func:`_write_table` CSV as strings, one list per row.
+    """The cells of a :func:`write_table` CSV as strings, one list per row.
 
     Raises :class:`SchemaMismatchError` naming ``what`` if the header differs.
     """
@@ -574,7 +553,7 @@ def persist(basin_map: BasinMap, path) -> None:
             in zip(basin_map.coords, basin_map.true_labels, basin_map.outcomes))
     meta = {**basin_map.provenance, "resolution": basin_map.resolution,
             **basin_map.metrics.as_flat_dict()}
-    _write_table(path, _MAP_HEADER, rows, meta)
+    write_table(path, _MAP_HEADER, rows, meta)
 
 
 def load_basin_map(path) -> BasinMap:
@@ -683,6 +662,8 @@ def run_sweep(cfg: ExperimentConfig, n_train_values: Sequence[int],
     """
     if not (n_train_values and train_half_values and test_half_values):
         raise ValueError("sweep axes must be non-empty")
+    if realizations < 1:
+        raise ValueError("realizations must be at least 1")
     jobs = [(cfg, int(nt), float(ht), float(hv), r)
             for nt in n_train_values
             for ht in train_half_values
@@ -695,7 +676,7 @@ def run_sweep(cfg: ExperimentConfig, n_train_values: Sequence[int],
 def write_sweep_csv(rows: Sequence[SweepRow], path,
                     provenance: dict | None = None) -> None:
     """Write sweep rows; provenance, when given, goes to a ``.meta`` sidecar."""
-    _write_table(path, _SWEEP_HEADER, (astuple(row) for row in rows), provenance)
+    write_table(path, _SWEEP_HEADER, (astuple(row) for row in rows), provenance)
 
 
 def read_sweep_csv(path) -> list[SweepRow]:

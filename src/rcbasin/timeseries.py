@@ -6,6 +6,7 @@ closed-loop predictions.  :class:`Standardizer` implements the shift/scale
 transform fitted on the union of the training signals (zero mean, unit
 maximum absolute value per component); noise injection implements the white
 noise added to standardized training inputs before ridge fitting.
+:func:`write_table` writes every CSV artifact: series, basin maps and sweeps.
 """
 
 from __future__ import annotations
@@ -181,14 +182,26 @@ def add_training_noise(
     return TimeSeries(signal.values + noise, signal.dt, signal.t0)
 
 
+def write_table(path, header: str, rows, meta: dict | None = None) -> None:
+    """Write ``rows`` as CSV under ``header``: floats by ``repr``, so they read
+    back bit for bit, other cells by ``str``.  ``meta`` goes to ``<path>.meta``
+    as ``key=repr(value)`` lines sorted by key.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+    if meta is not None:
+        with open(str(path) + ".meta", "w", encoding="ascii", newline="\n") as fh:
+            for key in sorted(meta):
+                fh.write(f"{key}={meta[key]!r}\n")
+
+
 def write_csv(signal: TimeSeries, path) -> None:
     """Write ``t,u0,u1,...`` rows at full double precision (17 significant digits)."""
     header = "t," + ",".join(f"u{j}" for j in range(signal.n_components))
-    data = np.column_stack([signal.times, signal.values])
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_table(path, header, np.column_stack([signal.times, signal.values]))
 
 
 def read_csv(path, dt: float | None = None) -> TimeSeries:

@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -120,10 +121,17 @@ class TestConfigValidation:
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[system]\nname = duffing\n[reservoir]\nnodez = 100\n")
-        code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "nodez" in capsys.readouterr().err
+        for section, key in [("reservoir", "nodez"), ("simulate", "n_step"),
+                             ("predict", "ics"), ("sweep", "realisations")]:
+            cfg.write_text(f"[system]\nname = duffing\n[{section}]\n{key} = 3\n"
+                           + ("" if section == "simulate" else "[simulate]\n")
+                           + "ic = 1, 0\nn_steps = 5\n")
+            out = tmp_path / "out"
+            code = run(["simulate", "--config", str(cfg), "--out", str(out)])
+            assert code == 2, key
+            assert f"config error: unknown key in [{section}]: {key}" in \
+                capsys.readouterr().err
+            assert not list(out.glob("*"))
 
     def test_missing_required_field_named(self, tmp_path, capsys):
         cfg = tmp_path / "nosim.ini"
@@ -139,6 +147,15 @@ class TestConfigValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert "n_r" in err and "many" in err
+        for section, key, value in [("simulate", "n_steps", "ten"),
+                                    ("sweep", "realizations", "many")]:
+            cfg.write_text(f"[system]\nname = duffing\n[{section}]\n{key} = {value}\n"
+                           + ("" if section == "simulate" else "[simulate]\n")
+                           + "ic = 1, 0\n")
+            code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert code == 2, key
+            assert f"config error: invalid value in [{section}] {key}: {value!r}" in \
+                capsys.readouterr().err
 
     def test_attempt_factor_below_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -174,6 +191,17 @@ class TestFlags:
                  "--parallel", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["basin-map", "sweep"])
+    def test_parallel_below_one_rejected(self, duffing_ini, tmp_path, capsys,
+                                         command, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--config", duffing_ini, "--out", str(tmp_path / "o"),
+                 "--parallel", value])
+        assert exit_info.value.code == 2
+        assert f"argument --parallel: must be at least 1, got {value}" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--seed-reservoir", "--seed-sampling",
                                       "--seed-noise", "--parallel"])
@@ -320,6 +348,15 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * 2 * 1 * 2  # header + factorial x realizations
         assert "mean f_c" in capsys.readouterr().out
 
+    def test_realizations_below_one_is_an_error(self, tmp_path, capsys):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text(TINY_SWEEP + "realizations = 0\n")
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(ini), "--out", str(out),
+                    "--parallel", "1"]) == 1
+        assert "error: realizations must be at least 1" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -445,6 +482,19 @@ class TestConfigSchema:
                                                             "perfbench/workloads/*.ini")
                    for p in REPO.glob(pattern)}
         assert shipped == set(CONFIG_HASHES)
+
+    def test_readme_lists_every_key(self):
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("```ini\n")[1].split("```")[0]
+        listed: dict = {}
+        section = None
+        for line in block.splitlines():
+            head, _, keys = line.partition(";")
+            if head.strip():
+                section = head.strip().strip("[]")
+            listed.setdefault(section, set()).update(re.findall(r"\w+", keys))
+        accepted = {("system", "name"), *cli._FIELD_MAP, *cli._INPUTS}
+        assert {(s, k) for s, k in accepted if k not in listed.get(s, ())} == set()
 
     @pytest.mark.parametrize("name", sorted(CONFIG_HASHES))
     def test_config_hash_pinned(self, name):

@@ -722,6 +722,14 @@ class TestSweep:
         assert len(errors) == 1 and "n_train=0" in errors[0]
         assert "n_train must be at least 1" in errors[0]
 
+    def test_realizations_below_one_rejected(self, monkeypatch):
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(experiment_mod, "_run_jobs", no_jobs)
+        with pytest.raises(ValueError, match="realizations must be at least 1"):
+            run_sweep(wells_config(), [2], [4.0], [4.0], realizations=0)
+
     def test_dead_worker_ends_the_run(self):
         with pytest.raises(BrokenProcessPool):
             experiment_mod._run_jobs(os._exit, [3, 3], parallel=2)
