@@ -222,14 +222,13 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_mixture_density(queries: np.ndarray, centers: np.ndarray,
-                         bandwidth: float) -> np.ndarray:
-    """Exact log density of an equal-weight isotropic Gaussian mixture.
+def _log_mixture_density(queries: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Exact log density of an equal-weight, unit-bandwidth isotropic Gaussian mixture.
 
     Evaluated through logsumexp so that far-away queries yield very negative
     finite values rather than underflowing to zero.  The log kernel is built
-    in one buffer, in the order of ``-(|q|^2 - 2 q.c + |c|^2) / (2 h^2)``
-    with the squared distance clamped at zero.
+    in one buffer, in the order of ``-(|q|^2 - 2 q.c + |c|^2) / 2`` with the
+    squared distance clamped at zero.
     """
     d = centers.shape[1]
     log_kernel = (2.0 * queries) @ centers.T
@@ -237,17 +236,19 @@ def _log_mixture_density(queries: np.ndarray, centers: np.ndarray,
     np.add(log_kernel, np.sum(centers**2, axis=1)[None, :], out=log_kernel)
     np.maximum(log_kernel, 0.0, out=log_kernel)
     np.negative(log_kernel, out=log_kernel)
-    np.divide(log_kernel, 2.0 * bandwidth**2, out=log_kernel)
-    log_norm = np.log(centers.shape[0]) + 0.5 * d * np.log(2.0 * np.pi * bandwidth**2)
+    np.divide(log_kernel, 2.0, out=log_kernel)
+    log_norm = np.log(centers.shape[0]) + 0.5 * d * np.log(2.0 * np.pi)
     return _logsumexp_rows(log_kernel) - log_norm
 
 
 #: Most queries per block when the reference mixture density is evaluated.
 _DENSITY_BLOCK_ROWS = 128
 
+#: Last-resort floor for a mixture density that is genuinely zero.
+_DENSITY_FLOOR = 1e-10
 
-def _log_mixture_density_blocked(queries: np.ndarray, centers: np.ndarray,
-                                 bandwidth: float) -> np.ndarray:
+
+def _log_mixture_density_blocked(queries: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """:func:`_log_mixture_density` over row blocks of at most 128 queries.
 
     Bounds the temporaries by the block instead of the whole query set.
@@ -256,19 +257,22 @@ def _log_mixture_density_blocked(queries: np.ndarray, centers: np.ndarray,
     blocks of many rows reproduce the single-shot values exactly.
     """
     n_blocks = max(1, -(-queries.shape[0] // _DENSITY_BLOCK_ROWS))
-    return np.concatenate([_log_mixture_density(block, centers, bandwidth)
+    return np.concatenate([_log_mixture_density(block, centers)
                            for block in np.array_split(queries, n_blocks)])
 
 
-def _reference_side(ref: np.ndarray, n_samples: int, sigma_scale: float, eps: float,
-                    scale_floor: float,
-                    rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+@functools.lru_cache(maxsize=8)
+def _reference_side(ref_bytes: bytes, shape: tuple[int, ...], n_samples: int,
+                    scale_floor: float) -> tuple[np.ndarray, ...]:
     """Standardize the reference set, draw from its mixture, score the draws.
 
-    Returns ``(center, spread, draws, log_p_ref)``: everything
-    :func:`kl_divergence` needs from the reference set alone.  The arrays
-    are read-only so that a cached result can be shared between calls.
+    ``ref_bytes`` and ``shape`` carry the C-ordered float reference set, so
+    the result is memoized on its contents.  Returns ``(center, spread,
+    draws, log_p_ref)``: everything :func:`kl_divergence` needs from the
+    reference set alone.  The draws come from ``default_rng(0)``; the arrays
+    are read-only so that the cached result can be shared between calls.
     """
+    ref = np.frombuffer(ref_bytes, dtype=float).reshape(shape)
     center = ref.mean(axis=0)
     spread = ref.std(axis=0)
     if np.any(spread == 0.0):
@@ -279,49 +283,37 @@ def _reference_side(ref: np.ndarray, n_samples: int, sigma_scale: float, eps: fl
                 "reference set is degenerate along some component")
     ref = (ref - center) / spread
 
+    rng = np.random.default_rng(0)
     picks = rng.integers(0, ref.shape[0], size=n_samples)
-    draws = ref[picks] + sigma_scale * rng.standard_normal((n_samples, ref.shape[1]))
-    log_p_ref = _log_mixture_density_blocked(draws, ref, sigma_scale)
-    log_p_ref[~np.isfinite(log_p_ref)] = np.log(eps)
+    draws = ref[picks] + rng.standard_normal((n_samples, ref.shape[1]))
+    log_p_ref = _log_mixture_density_blocked(draws, ref)
+    log_p_ref[~np.isfinite(log_p_ref)] = np.log(_DENSITY_FLOOR)
     side = (center, spread, draws, log_p_ref)
     for a in side:
         a.flags.writeable = False
     return side
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_reference_side(ref_bytes: bytes, shape: tuple[int, ...], n_samples: int,
-                           sigma_scale: float, eps: float,
-                           scale_floor: float) -> tuple[np.ndarray, ...]:
-    """:func:`_reference_side` with the default seed, memoized on content."""
-    ref = np.frombuffer(ref_bytes, dtype=float).reshape(shape)
-    return _reference_side(ref, n_samples, sigma_scale, eps, scale_floor,
-                           np.random.default_rng(0))
-
-
 def kl_divergence(ref_samples: np.ndarray, test_samples: np.ndarray,
-                  n_samples: int = 1000, sigma_scale: float = 1.0,
-                  eps: float = 1e-10, rng: np.random.Generator | None = None,
-                  scale_floor: float = 0.0) -> float:
+                  n_samples: int = 1000, scale_floor: float = 0.0) -> float:
     """Monte Carlo divergence of the test distribution relative to the reference.
 
     Both point sets are mapped into the coordinates in which the reference
     set has zero mean and unit variance per component; each set is then
-    modeled as an equal-weight Gaussian kernel mixture with isotropic
-    bandwidth ``sigma_scale``.  Smoothing at the scale of the reference
-    spread makes the estimate insensitive to sample count, so two windows of
-    the same attractor score near zero while separated sets score roughly
-    half their squared standardized distance.  ``n_samples`` draws from the
-    reference mixture estimate the mean log density ratio; densities are
-    evaluated exactly in log space, with ``eps`` as a last-resort floor for
-    genuinely zero densities.
+    modeled as an equal-weight Gaussian kernel mixture with unit isotropic
+    bandwidth.  Smoothing at the scale of the reference spread makes the
+    estimate insensitive to sample count, so two windows of the same
+    attractor score near zero while separated sets score roughly half their
+    squared standardized distance.  ``n_samples`` draws from the reference
+    mixture estimate the mean log density ratio; densities are evaluated
+    exactly in log space, with 1e-10 as a last-resort floor for genuinely
+    zero densities.
 
-    Without ``rng`` the draws come from ``default_rng(0)``, so the reference
-    side -- its standardization, the draws and their log density under the
-    reference mixture -- depends only on the reference set and the keyword
-    arguments.  It is then built once per process per (reference contents,
-    ``n_samples``, ``sigma_scale``, ``eps``, ``scale_floor``) and reused;
-    the result is bit-identical to passing ``rng=np.random.default_rng(0)``.
+    The draws come from ``default_rng(0)``, so the reference side -- its
+    standardization, the draws and their log density under the reference
+    mixture -- depends only on the reference set, ``n_samples`` and
+    ``scale_floor``.  It is built once per process per (reference contents,
+    ``n_samples``, ``scale_floor``) and reused.
 
     Raises :class:`DegenerateCloudError` when the reference set has a
     zero-variance component (all points identical there) and no
@@ -333,18 +325,12 @@ def kl_divergence(ref_samples: np.ndarray, test_samples: np.ndarray,
         raise ValueError("both sample sets need at least 2 points")
     if ref.shape[1] != test.shape[1]:
         raise DimensionMismatchError("sample sets must share a dimension")
-    if sigma_scale <= 0.0:
-        raise ValueError("sigma_scale must be positive")
-    if rng is None:
-        side = _cached_reference_side(ref.tobytes(), ref.shape, n_samples,
-                                      sigma_scale, eps, scale_floor)
-    else:
-        side = _reference_side(ref, n_samples, sigma_scale, eps, scale_floor, rng)
-    center, spread, draws, log_p_ref = side
+    center, spread, draws, log_p_ref = _reference_side(ref.tobytes(), ref.shape,
+                                                       n_samples, scale_floor)
 
     test = (test - center) / spread
-    log_p_test = _log_mixture_density(draws, test, sigma_scale)
-    log_p_test[~np.isfinite(log_p_test)] = np.log(eps)
+    log_p_test = _log_mixture_density(draws, test)
+    log_p_test[~np.isfinite(log_p_test)] = np.log(_DENSITY_FLOOR)
     return float(np.mean(log_p_ref - log_p_test))
 
 

@@ -28,6 +28,7 @@ from . import experiment, training
 from .errors import RcbasinError
 from .experiment import ExperimentConfig, default_config
 from .reservoir import run_closed_loop, synchronize
+from .systems import system_parameters
 from .timeseries import TimeSeries, write_csv
 
 
@@ -71,7 +72,9 @@ def read_config(path) -> tuple[ExperimentConfig, dict]:
     """Parse and fully validate an INI config before any computation starts.
 
     Returns the config and the subcommand inputs, keyed by (section, key).
-    Any other ``[system]`` key is a float system parameter.
+    A ``[system]`` key that names a parameter of the system's factory (such
+    as ``f0``) is a float system parameter; ``[DEFAULT]`` is rejected, since
+    its keys would reach every section.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not os.path.exists(path):
@@ -80,8 +83,16 @@ def read_config(path) -> tuple[ExperimentConfig, dict]:
         parser.read(path)
     except configparser.Error as err:
         raise ConfigError(f"config parse failure: {err}") from err
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] is not supported; move its keys to their sections: "
+                          f"{', '.join(parser.defaults())}")
     if not parser.has_section("system") or not parser.has_option("system", "name"):
         raise ConfigError("missing required field: [system] name")
+    system = parser.get("system", "name")
+    try:
+        accepted = system_parameters(system)
+    except ValueError as err:
+        raise ConfigError(f"config does not validate: {err}") from err
 
     overrides: dict = {}
     system_params: dict = {}
@@ -94,7 +105,7 @@ def read_config(path) -> tuple[ExperimentConfig, dict]:
                 (name, parse), target = _FIELD_MAP[(section, key)], overrides
             elif (section, key) in _INPUTS:
                 name, parse, target = (section, key), _INPUTS[(section, key)], inputs
-            elif section == "system":
+            elif section == "system" and key in accepted:
                 name, parse, target = key, float, system_params
             else:
                 raise ConfigError(f"unknown key in [{section}]: {key}")
@@ -105,7 +116,7 @@ def read_config(path) -> tuple[ExperimentConfig, dict]:
     if system_params:
         overrides["system_params"] = system_params
     try:
-        cfg = default_config(parser.get("system", "name"), **overrides)
+        cfg = default_config(system, **overrides)
     except (RcbasinError, ValueError) as err:
         raise ConfigError(f"config does not validate: {err}") from err
     return cfg, inputs

@@ -341,25 +341,22 @@ def synchronize(res: Reservoir, readout: "Readout", test_signal: TimeSeries) -> 
     return drive_open_loop(res, standardized, res.zero_state())[-1]
 
 
-def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray,
-                          r0: np.ndarray | None = None) -> np.ndarray:
-    """Drive many equal-length signals at once.
+def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray) -> np.ndarray:
+    """Drive many equal-length signals at once, each from the zero state.
 
     Args:
         inputs: Array of shape (n_runs, n_samples, n_in), n_samples >= 1.
-        r0: Optional (n_runs, n_r) start states; zeros when omitted.
 
     Returns:
         Final states, shape (n_runs, n_r).  Each run follows exactly the
-        same recursion as :func:`drive_open_loop`.
+        same recursion as :func:`drive_open_loop` from ``res.zero_state()``.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 3 or inputs.shape[1] < 1 or inputs.shape[2] != res.n_in:
         raise DimensionMismatchError("inputs must be (n_runs, n_samples >= 1, n_in)")
     n_runs, n_samples = inputs.shape[:2]
-    states = (np.zeros((res.n_r, n_runs)) if r0 is None
-              else _start_states(r0, (n_runs, res.n_r), "r0"))
-    return _evolve(res, states, n_samples, inputs=inputs.transpose(1, 2, 0), keep_last=1)[0].T
+    return _evolve(res, np.zeros((res.n_r, n_runs)), n_samples,
+                   inputs=inputs.transpose(1, 2, 0), keep_last=1)[0].T
 
 
 def run_closed_loop_batch(res: Reservoir, readout: "Readout", r_start: np.ndarray,

@@ -11,7 +11,8 @@ DOP853 whose every row is bit-identical to scipy's ``solve_ivp``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import inspect
+from dataclasses import InitVar, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -64,16 +65,17 @@ class SystemDef:
 
     ``vector_field`` accepts arrays of shape (..., dim) and returns the same
     shape.  ``energy`` is optional and only meaningful for systems where a
-    potential-barrier convergence test applies.
+    potential-barrier convergence test applies.  ``params`` is accepted and
+    ignored, so definitions written when systems stored their parameters
+    still construct.
     """
 
     name: str
     dim: int
     vector_field: Callable[[np.ndarray], np.ndarray]
-    params: dict
     attractors: tuple[AttractorDescriptor, ...]
     energy: Callable[[np.ndarray], np.ndarray] | None = None
-    unstable_points: tuple = ()
+    params: InitVar[dict | None] = None
 
     @property
     def chaotic(self) -> bool:
@@ -122,7 +124,6 @@ def duffing(f0: float = 0.0) -> SystemDef:
     roots = np.roots([c, 0.0, b, -f0])
     real = np.sort(roots[np.abs(roots.imag) < 1e-9].real)
     stable = [x for x in real if -b - 3 * c * x**2 < 0]
-    unstable = [x for x in real if -b - 3 * c * x**2 >= 0]
     labels = ["minus", "plus"]
     attractors = tuple(
         AttractorDescriptor(FIXED_POINT, labels[i], location=np.array([x, 0.0]))
@@ -132,10 +133,8 @@ def duffing(f0: float = 0.0) -> SystemDef:
         name="duffing",
         dim=2,
         vector_field=vf,
-        params={"a": a, "b": b, "c": c, "f0": f0},
         attractors=attractors,
         energy=energy,
-        unstable_points=tuple(np.array([x, 0.0]) for x in unstable),
     )
 
 
@@ -164,9 +163,7 @@ def multi_well() -> SystemDef:
         name="multi_well",
         dim=2,
         vector_field=vf,
-        params={},
         attractors=attractors,
-        unstable_points=(np.zeros(2),),
     )
 
 
@@ -235,10 +232,7 @@ def magnetic_pendulum() -> SystemDef:
         name="magnetic_pendulum",
         dim=4,
         vector_field=_pendulum_field,
-        params={"omega0": _PEND_OMEGA0, "gamma": _PEND_GAMMA, "height": _PEND_HEIGHT,
-                "magnets": _PEND_MAGNETS},
         attractors=attractors,
-        unstable_points=(np.zeros(4),),
     )
 
 
@@ -287,7 +281,6 @@ def _lorenz_references() -> tuple[np.ndarray, np.ndarray]:
 
 def _lorenz_system_bare() -> SystemDef:
     return SystemDef(name="multistable_lorenz", dim=3, vector_field=_lorenz_field,
-                     params={"a": _LORENZ_A, "b": _LORENZ_B, "c": _LORENZ_C},
                      attractors=())
 
 
@@ -308,14 +301,24 @@ _SYSTEM_FACTORIES = {
 }
 
 
-def make_system(name: str, **params) -> SystemDef:
-    """Build a benchmark system by name (parameters forwarded, e.g. f0)."""
+def system_parameters(name: str) -> tuple[str, ...]:
+    """Names of the parameters system ``name`` takes, read from its factory."""
     try:
         factory = _SYSTEM_FACTORIES[name]
     except KeyError:
         raise ValueError(f"unknown system {name!r}; choose from "
                          f"{sorted(_SYSTEM_FACTORIES)}") from None
-    return factory(**params)
+    return tuple(inspect.signature(factory).parameters)
+
+
+def make_system(name: str, **params) -> SystemDef:
+    """Build a benchmark system by name (parameters forwarded, e.g. f0)."""
+    accepted = system_parameters(name)
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"unknown parameter {key!r} of system {name!r}; "
+                             f"choose from {list(accepted)}")
+    return _SYSTEM_FACTORIES[name](**params)
 
 
 # --------------------------------------------------------------------------

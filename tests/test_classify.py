@@ -21,7 +21,6 @@ from rcbasin.classify import (
     score,
 )
 from rcbasin.classify import (
-    _cached_reference_side,
     _log_mixture_density,
     _log_mixture_density_blocked,
     _logsumexp_rows,
@@ -147,7 +146,7 @@ class TestKlDivergence:
         rng = np.random.default_rng(2)
         for n in (200, 500, 2000):
             cloud = rng.standard_normal((n, 2)) * 3.0 + 5.0
-            assert kl_divergence(cloud, cloud, rng=np.random.default_rng(n)) <= 0.05
+            assert kl_divergence(cloud, cloud) <= 0.05
 
     def test_far_clouds_scale_with_separation(self):
         rng = np.random.default_rng(3)
@@ -187,25 +186,42 @@ class TestKlDivergence:
         assert kl_divergence(a, b) == kl_divergence(a, b)
 
 
+def uncached_side(ref, n_samples=1000):
+    """The reference side built afresh, bypassing the cache."""
+    ref = np.ascontiguousarray(ref, dtype=float)
+    return _reference_side.__wrapped__(ref.tobytes(), ref.shape, n_samples, 0.0)
+
+
+def uncached_kl(ref, tail, **kwargs):
+    """kl_divergence computed with an empty reference-side cache."""
+    _reference_side.cache_clear()
+    try:
+        return kl_divergence(ref, tail, **kwargs)
+    finally:
+        _reference_side.cache_clear()
+
+
 class TestKlReferenceCache:
-    """The default-rng reference side is memoized without changing any value."""
+    """The reference side is memoized without changing any value."""
 
     def test_cached_equals_explicit_default_seed(self, lorenz):
         rng = np.random.default_rng(9)
         for ref in (a.reference for a in lorenz.attractors):
+            for built, fresh in zip(_reference_side(ref.tobytes(), ref.shape, 1000, 0.0),
+                                    uncached_side(ref)):
+                assert np.array_equal(built, fresh)
             tails = (ref[-500:], ref[:500] + 0.3 * rng.standard_normal((500, 3)),
                      rng.standard_normal((500, 3)) * 5.0)
             for tail in tails:
                 cached = kl_divergence(ref, tail)
-                explicit = kl_divergence(ref, tail, rng=np.random.default_rng(0))
-                assert cached == explicit
+                assert cached == uncached_kl(ref, tail)
                 assert kl_divergence(ref, tail) == cached
 
     def test_degenerate_cloud_through_safe(self):
         frozen = np.ones((10, 2))
         spread = np.random.default_rng(5).standard_normal((10, 2))
-        assert kl_divergence(frozen, spread, scale_floor=1e-10) == kl_divergence(
-            frozen, spread, rng=np.random.default_rng(0), scale_floor=1e-10)
+        cached = kl_divergence(frozen, spread, scale_floor=1e-10)
+        assert cached == uncached_kl(frozen, spread, scale_floor=1e-10)
 
     def test_in_place_edit_is_not_stale(self):
         rng = np.random.default_rng(10)
@@ -215,43 +231,41 @@ class TestKlReferenceCache:
         ref[:100] += 2.0
         after = kl_divergence(ref, tail)
         assert after != before
-        assert after == kl_divergence(ref, tail, rng=np.random.default_rng(0))
+        assert after == uncached_kl(ref, tail)
 
     def test_keyword_arguments_never_share_an_entry(self):
         rng = np.random.default_rng(11)
         ref = rng.standard_normal((200, 2))
+        ref[:, 1] = 0.5  # a degenerate component, so that scale_floor takes effect
         tail = rng.standard_normal((100, 2)) + 1.0
-        base = kl_divergence(ref, tail)
-        for kwargs in ({"n_samples": 300}, {"sigma_scale": 0.5}):
+        base = kl_divergence(ref, tail, scale_floor=1e-10)
+        for kwargs in ({"n_samples": 300, "scale_floor": 1e-10}, {"scale_floor": 1e-3}):
             value = kl_divergence(ref, tail, **kwargs)
             assert value != base
-            assert value == kl_divergence(ref, tail, rng=np.random.default_rng(0),
-                                          **kwargs)
-        assert kl_divergence(ref, tail) == base
+            assert value == uncached_kl(ref, tail, **kwargs)
+        assert kl_divergence(ref, tail, scale_floor=1e-10) == base
 
     @pytest.mark.parametrize("n_samples", [1000, 300])
     def test_row_blocks_match_single_shot(self, lorenz, n_samples):
         ref = lorenz.attractors[0].reference
-        center, spread, draws, log_p_ref = _reference_side(
-            ref, n_samples, 1.0, 1e-10, 0.0, np.random.default_rng(0))
+        center, spread, draws, log_p_ref = uncached_side(ref, n_samples)
         standardized = (ref - center) / spread
-        single = _log_mixture_density(draws, standardized, 1.0)
-        assert np.array_equal(_log_mixture_density_blocked(draws, standardized, 1.0),
-                              single)
+        single = _log_mixture_density(draws, standardized)
+        assert np.array_equal(_log_mixture_density_blocked(draws, standardized), single)
         assert np.array_equal(log_p_ref, single)
 
     def test_cached_arrays_are_read_only(self, lorenz):
         ref = lorenz.attractors[1].reference
         kl_divergence(ref, ref[-500:])
-        side = _cached_reference_side(ref.tobytes(), ref.shape, 1000, 1.0, 1e-10, 0.0)
+        side = _reference_side(ref.tobytes(), ref.shape, 1000, 0.0)
         for array in side:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
 
-def oracle_log_mixture_density(queries, centers, bandwidth):
-    """The mixture density as first written, through scipy's logsumexp."""
+def oracle_log_mixture_density(queries, centers):
+    """The unit-bandwidth mixture density as first written, through scipy's logsumexp."""
     d = centers.shape[1]
     sq = (
         np.sum(queries**2, axis=1)[:, None]
@@ -259,8 +273,8 @@ def oracle_log_mixture_density(queries, centers, bandwidth):
         + np.sum(centers**2, axis=1)[None, :]
     )
     np.maximum(sq, 0.0, out=sq)
-    log_kernel = -sq / (2.0 * bandwidth**2)
-    log_norm = np.log(centers.shape[0]) + 0.5 * d * np.log(2.0 * np.pi * bandwidth**2)
+    log_kernel = -sq / 2.0
+    log_norm = np.log(centers.shape[0]) + 0.5 * d * np.log(2.0 * np.pi)
     return logsumexp(log_kernel, axis=1) - log_norm
 
 
@@ -313,38 +327,34 @@ class TestFusedDensity:
 
     def test_density_on_truth_tails(self, lorenz, lorenz_truth_tails):
         for ref in (a.reference for a in lorenz.attractors):
-            center, spread, draws, _ = _reference_side(
-                ref, 1000, 1.0, 1e-10, 0.0, np.random.default_rng(0))
+            center, spread, draws, _ = uncached_side(ref)
             for tail in lorenz_truth_tails:
                 test = (tail - center) / spread
-                assert np.array_equal(_log_mixture_density(draws, test, 1.0),
-                                      oracle_log_mixture_density(draws, test, 1.0))
+                assert np.array_equal(_log_mixture_density(draws, test),
+                                      oracle_log_mixture_density(draws, test))
 
-    @pytest.mark.parametrize("bandwidth", [1.0, 0.3])
-    def test_density_on_far_and_degenerate_clouds(self, bandwidth):
+    def test_density_on_far_and_degenerate_clouds(self):
         rng = np.random.default_rng(23)
         queries = rng.standard_normal((1000, 3))
         far = rng.standard_normal((500, 3)) + np.array([80.0, -40.0, 10.0])
         degenerate = np.full((500, 3), 2.0) + 1e-12 * rng.standard_normal((500, 3))
         for centers in (far, degenerate, queries[:500]):
+            assert np.array_equal(_log_mixture_density(queries, centers),
+                                  oracle_log_mixture_density(queries, centers))
             assert np.array_equal(
-                _log_mixture_density(queries, centers, bandwidth),
-                oracle_log_mixture_density(queries, centers, bandwidth))
-            assert np.array_equal(
-                _log_mixture_density_blocked(queries, centers, bandwidth),
-                np.concatenate([oracle_log_mixture_density(block, centers, bandwidth)
+                _log_mixture_density_blocked(queries, centers),
+                np.concatenate([oracle_log_mixture_density(block, centers)
                                 for block in np.array_split(queries, 8)]))
 
     def test_kl_divergence_unchanged_on_truth_tails(self, lorenz, lorenz_truth_tails,
                                                     monkeypatch):
         refs = [a.reference for a in lorenz.attractors]
         pairs = [(ref, tail) for ref in refs for tail in lorenz_truth_tails[:3]]
-        fused = [kl_divergence(ref, tail, rng=np.random.default_rng(0))
-                 for ref, tail in pairs]
+        fused = [uncached_kl(ref, tail) for ref, tail in pairs]
         monkeypatch.setattr(classify_mod, "_log_mixture_density",
                             oracle_log_mixture_density)
-        assert fused == [kl_divergence(ref, tail, rng=np.random.default_rng(0))
-                         for ref, tail in pairs]
+        # an empty cache makes the oracle score the reference draws too
+        assert fused == [uncached_kl(ref, tail) for ref, tail in pairs]
 
 
 class TestScore:

@@ -133,6 +133,22 @@ class TestConfigValidation:
                 capsys.readouterr().err
             assert not list(out.glob("*"))
 
+    def test_unknown_system_parameter_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[system]\nname = duffing\nf_0 = 0.3\n"
+                       "[simulate]\nic = 1, 0\nn_steps = 5\n")
+        out = tmp_path / "out"
+        code = run(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "config error: unknown key in [system]: f_0" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_default_section_rejected(self, tmp_path):
+        cfg = tmp_path / "defaults.ini"
+        cfg.write_text("[DEFAULT]\nn_r = 50\n[system]\nname = duffing\n")
+        with pytest.raises(cli.ConfigError, match=r"\[DEFAULT\].*n_r"):
+            cli.read_config(str(cfg))
+
     def test_missing_required_field_named(self, tmp_path, capsys):
         cfg = tmp_path / "nosim.ini"
         cfg.write_text("[system]\nname = duffing\n")

@@ -518,9 +518,9 @@ class TestRunBasinExperiment:
         driven = []
         original = experiment_mod.drive_open_loop_batch
 
-        def spy(res, inputs, r0=None):
+        def spy(res, inputs):
             driven.append(np.array(inputs))
-            return original(res, inputs, r0)
+            return original(res, inputs)
 
         monkeypatch.setattr(experiment_mod, "drive_open_loop_batch", spy)
         cfg = default_config("duffing", resolution=4, horizon=300, n_test=5,

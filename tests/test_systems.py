@@ -15,13 +15,15 @@ from rcbasin.systems import (
     multi_well,
     multistable_lorenz,
     rk4_ensemble,
+    system_parameters,
 )
+from rcbasin.systems import _PEND_MAGNETS
 
 
 def linear_decay(dim=1):
     return SystemDef(name="decay", dim=dim,
                      vector_field=lambda s: -np.asarray(s, dtype=float),
-                     params={}, attractors=())
+                     attractors=())
 
 
 def numeric_jacobian(sys, x, h=1e-6):
@@ -70,7 +72,8 @@ class TestDuffing:
 
     def test_unstable_point(self):
         sys = duffing()
-        assert np.allclose(sys.unstable_points[0], [0.0, 0.0])
+        assert np.allclose(sys.vector_field(np.zeros(2)), [0.0, 0.0])
+        assert np.linalg.eigvals(numeric_jacobian(sys, np.zeros(2))).real.max() > 0
 
 
 class TestMultiWell:
@@ -106,7 +109,7 @@ class TestMagneticPendulum:
     def test_equilibria_near_but_not_at_magnets(self):
         sys = magnetic_pendulum()
         locs = sys.attractor_locations((0, 1))
-        offsets = np.linalg.norm(locs - sys.params["magnets"], axis=1)
+        offsets = np.linalg.norm(locs - _PEND_MAGNETS, axis=1)
         assert np.all(offsets > 1e-3) and np.all(offsets < 0.05)
 
 
@@ -161,7 +164,7 @@ class TestPendulumFieldPaths:
 
     def test_states_near_each_magnet(self):
         rng = np.random.default_rng(1)
-        magnets = magnetic_pendulum().params["magnets"]
+        magnets = _PEND_MAGNETS
         blocks = []
         for mx, my in magnets:
             near = rng.uniform(-1e-3, 1e-3, size=(500, 4))
@@ -248,7 +251,7 @@ class TestRk4:
     def test_zero_field_constant(self):
         sys = SystemDef(name="still", dim=2,
                         vector_field=lambda s: np.zeros_like(np.asarray(s, float)),
-                        params={}, attractors=())
+                        attractors=())
         traj = integrate_rk4(sys, np.array([1.0, -2.0]), 0.1, 50)
         assert np.array_equal(traj.values, np.tile([1.0, -2.0], (51, 1)))
 
@@ -277,7 +280,7 @@ class TestRk4:
     def test_overflow_raises(self):
         grow = SystemDef(name="blow", dim=1,
                          vector_field=lambda s: np.asarray(s, float) ** 2,
-                         params={}, attractors=())
+                         attractors=())
         with pytest.raises(NonFiniteError):
             integrate_rk4(grow, np.array([10.0]), 1.0, 100)
 
@@ -319,7 +322,7 @@ class TestAdaptive:
         # finite-time blow-up forces the step size below resolvable spacing
         blow = SystemDef(name="blow", dim=1,
                          vector_field=lambda s: np.asarray(s, float) ** 2,
-                         params={}, attractors=())
+                         attractors=())
         with pytest.raises(StepSizeUnderflowError):
             integrate_adaptive(blow, np.array([1.0]), t_end=2.0, sample_dt=0.1)
 
@@ -328,7 +331,7 @@ def blow_up():
     """dx/dt = x**2: finite-time blow-up at t = 1 / x0 for x0 > 0."""
     return SystemDef(name="blow", dim=1,
                      vector_field=lambda s: np.asarray(s, float) ** 2,
-                     params={}, attractors=())
+                     attractors=())
 
 
 def pendulum_plane(coords):
@@ -374,7 +377,7 @@ class TestLockstepDop853:
     def test_pendulum_equilibria_and_magnet_neighbourhoods(self):
         sys = magnetic_pendulum()
         rng = np.random.default_rng(3)
-        magnets = sys.params["magnets"]
+        magnets = _PEND_MAGNETS
         near = pendulum_plane(np.repeat(magnets, 2, axis=0)
                               + rng.uniform(-1e-3, 1e-3, size=(6, 2)))
         starts = np.vstack([sys.attractor_locations(), near])
@@ -465,12 +468,20 @@ class TestEnsembleWidthInvariance:
 
 class TestMakeSystem:
     def test_by_name(self):
-        assert make_system("duffing", f0=1.0).params["f0"] == 1.0
+        forced = make_system("duffing", f0=1.0).attractor_locations()
+        assert np.array_equal(forced, duffing(f0=1.0).attractor_locations())
+        assert not np.allclose(forced, duffing().attractor_locations())
         assert make_system("multi_well").name == "multi_well"
 
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_system("lorenz96")
+
+    def test_unknown_parameter_named(self):
+        assert system_parameters("duffing") == ("f0",)
+        for name in ("duffing", "multistable_lorenz"):
+            with pytest.raises(ValueError, match="'f_0'"):
+                make_system(name, f_0=0.3)
 
     def test_attractor_kinds(self):
         assert all(a.kind == FIXED_POINT for a in magnetic_pendulum().attractors)

@@ -85,17 +85,20 @@ def test_sampling_counters_follow_blocks(monkeypatch):
 
 
 def test_benchmark_span_contract(tmp_path):
-    # the benchmark's own check on a traced map, run as its child process runs it
+    # the benchmark's own check on traced maps, run as its child process runs
+    # them; Lorenz takes the KL path and the pendulum the adaptive one
     bench = load_module("perfbench_run", PERFBENCH / "run.py")
     tracer = bench.tracer
-    run = tracer.Tracer("tier1")
-    run.install(rcbasin)
-    main = run.span(tracer.ROOT, rcbasin.cli.main)
-    try:
-        code = main(["basin-map", "--config", str(PERFBENCH / "workloads" / "tiny_duffing.ini"),
-                     "--parallel", "1", "--out", str(tmp_path)])
-    finally:
-        run.uninstall()
-    assert code == 0
-    map_s = tracer.layer_metrics(run.spans)["trace.map_s"]
-    assert bench.span_problems("tiny_duffing", run.spans, map_s) == []
+    for workload in ("tiny_duffing", "tiny_lorenz", "tiny_pendulum"):
+        run = tracer.Tracer("tier1")
+        run.install(rcbasin)
+        main = run.span(tracer.ROOT, rcbasin.cli.main)
+        try:
+            code = main(["basin-map", "--config",
+                         str(PERFBENCH / "workloads" / f"{workload}.ini"),
+                         "--parallel", "1", "--out", str(tmp_path / workload)])
+        finally:
+            run.uninstall()
+        assert code == 0, workload
+        map_s = tracer.layer_metrics(run.spans)["trace.map_s"]
+        assert bench.span_problems(workload, run.spans, map_s) == [], workload
