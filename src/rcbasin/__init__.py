@@ -52,8 +52,8 @@ from .reservoir import (
     ReservoirSpec,
     build_reservoir,
     drive_open_loop,
-    run_closed_loop,
-    synchronize,
+    drive_open_loop_batch,
+    run_closed_loop_batch,
 )
 from .systems import (
     AttractorDescriptor,
@@ -69,8 +69,6 @@ from .systems import (
 from .timeseries import (
     Standardizer,
     TimeSeries,
-    add_training_noise,
-    component_rms,
     fit_standardizer,
     read_csv,
     write_csv,

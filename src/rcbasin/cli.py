@@ -25,9 +25,9 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import experiment, training
-from .errors import RcbasinError
+from .errors import NonFiniteError, RcbasinError
 from .experiment import ExperimentConfig, default_config
-from .reservoir import run_closed_loop, synchronize
+from .reservoir import drive_open_loop_batch, run_closed_loop_batch
 from .systems import system_parameters
 from .timeseries import TimeSeries, write_csv
 
@@ -162,11 +162,14 @@ def cmd_simulate(cfg, inputs: dict, out: _OutputTracker) -> None:
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[simulate] ic needs {sys_def.dim} components, got {len(ic)}")
+    if not sys_def.chaotic and n_steps + 1 < cfg.tail_len:
+        raise ConfigError(f"[simulate] n_steps ({n_steps}) gives {n_steps + 1} samples, "
+                          f"fewer than [criteria] tail_len ({cfg.tail_len}) to label")
     values = experiment.integrate_truth(cfg, sys_def, np.array(ic), n_steps)
     series = TimeSeries(values, cfg.dt)
     write_csv(series, out.path("trajectory.csv"))
     print(f"wrote trajectory.csv ({series.n_samples} samples)")
-    print("final state:", " ".join(repr(v) for v in values[-1]))
+    print("final state:", " ".join(repr(float(v)) for v in values[-1]))
     if not sys_def.chaotic:
         _print_label(cfg, sys_def, values, range(sys_def.dim))
 
@@ -188,19 +191,23 @@ def cmd_predict(cfg, inputs: dict, out: _OutputTracker, bundle: str) -> None:
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[predict] ic needs {sys_def.dim} components, got {len(ic)}")
-    truth = experiment.integrate_truth(cfg, sys_def, np.array(ic), cfg.n_test - 1)
-    test_signal = TimeSeries(truth[:, list(cfg.observe)], cfg.dt)
-    state = synchronize(res, readout, test_signal)
+    prefix = experiment.integrate_truth(cfg, sys_def, np.array(ic),
+                                        cfg.n_test - 1)[:, list(cfg.observe)]
     n_pred = cfg.horizon - cfg.n_test
-    prediction = run_closed_loop(res, readout, state, n_pred, dt=cfg.dt,
-                                 t0=cfg.n_test * cfg.dt)
-    write_csv(test_signal, out.path("test_signal.csv"))
-    write_csv(prediction, out.path("prediction.csv"))
+    # the map's two kernels on a batch of one cell
+    states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefix)[None])
+    values = run_closed_loop_batch(res, readout, states, n_pred)[0]
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise NonFiniteError(
+            f"closed-loop output became non-finite at step {np.argmin(finite)}")
+    write_csv(TimeSeries(prefix, cfg.dt), out.path("test_signal.csv"))
+    write_csv(TimeSeries(values, cfg.dt, cfg.n_test * cfg.dt), out.path("prediction.csv"))
     print(f"wrote test_signal.csv ({cfg.n_test} samples) and "
           f"prediction.csv ({n_pred} samples)")
-    print("final predicted state:", " ".join(repr(v) for v in prediction.values[-1]))
+    print("final predicted state:", " ".join(repr(float(v)) for v in values[-1]))
     if not sys_def.chaotic:
-        _print_label(cfg, sys_def, prediction.values, cfg.observe)
+        _print_label(cfg, sys_def, values, cfg.observe)
 
 
 def _print_summary(basin_map) -> None:

@@ -128,6 +128,15 @@ class ExperimentConfig:
             raise InvalidWindowError(
                 f"horizon ({self.horizon}) must exceed n_test ({self.n_test}) "
                 "to leave a prediction window")
+        n_pred = self.horizon - self.n_test
+        if n_pred < self.tail_len:
+            raise InvalidWindowError(
+                f"horizon - n_test ({n_pred}) must be at least tail_len "
+                f"({self.tail_len}): the forecast tail is labelled")
+        if self.kl_threshold is not None and n_pred < self.kl_tail:
+            raise InvalidWindowError(
+                f"horizon - n_test ({n_pred}) must be at least kl_tail "
+                f"({self.kl_tail}): the forecast tail is labelled")
         if self.train_half_width <= 0 or self.test_half_width <= 0:
             raise ValueError("half widths must be positive")
         if self.n_train < 1:
@@ -481,10 +490,9 @@ def _map_chunk(cfg: ExperimentConfig, res: Reservoir, readout: Readout,
     """
     sys = system_from_config(cfg)
     labels, prefixes = truth_and_test_signals(cfg, ics_chunk)
-    n_pred = cfg.horizon - cfg.n_test
-    needed_tail = min(n_pred, cfg.kl_tail if sys.chaotic else cfg.tail_len)
     states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefixes))
-    tails = run_closed_loop_batch(res, readout, states, n_pred, keep_last=needed_tail)
+    tails = run_closed_loop_batch(res, readout, states, cfg.horizon - cfg.n_test,
+                                  keep_last=cfg.kl_tail if sys.chaotic else cfg.tail_len)
     predicted = label_trajectories(sys, criteria_from_config(cfg), tails, cfg.observe)
     return labels, predicted, prefixes[:, -1, :].copy()
 

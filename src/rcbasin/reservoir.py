@@ -21,8 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
-from .errors import DimensionMismatchError, NonFiniteError, SingularSpectrumError
-from .timeseries import TimeSeries
+from .errors import DimensionMismatchError, SingularSpectrumError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .training import Readout
@@ -291,54 +290,19 @@ def _start_states(r: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     return r.T
 
 
-def drive_open_loop(res: Reservoir, signal: TimeSeries | np.ndarray,
-                    r0: np.ndarray) -> np.ndarray:
+def drive_open_loop(res: Reservoir, signal: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """Evolve the driven reservoir and return all post-input states.
 
-    ``r0`` is the state before any input is consumed; returned row k is the
-    state after consuming sample k, so the output has one row per sample.
+    ``signal`` is an (n_samples, n_in) array and ``r0`` the state before any
+    input is consumed; returned row k is the state after consuming sample k,
+    so the output has one row per sample.
     """
-    values = signal.values if isinstance(signal, TimeSeries) else np.asarray(signal, float)
-    if values.ndim == 1:
-        values = values[:, None]
-    if values.shape[1] != res.n_in:
+    signal = np.asarray(signal, dtype=float)
+    if signal.ndim != 2 or signal.shape[1] != res.n_in:
         raise DimensionMismatchError(
-            f"signal width {values.shape[1]} does not match reservoir n_in {res.n_in}"
-        )
+            f"signal must be (n_samples, {res.n_in}), got shape {signal.shape}")
     r0 = _start_states(r0, (res.n_r,), "r0")
-    return _evolve(res, r0, values.shape[0], inputs=values)
-
-
-def run_closed_loop(res: Reservoir, readout: "Readout", r_start: np.ndarray,
-                    n_steps: int, dt: float = 1.0, t0: float = 0.0) -> TimeSeries:
-    """Let the reservoir run on its own readout for ``n_steps`` outputs.
-
-    The first emitted sample is ``w_out @ r_start`` (the one-step forecast
-    from the synchronized state); each later sample requires one reservoir
-    update that consumes the previous emission.  The loop runs in
-    standardized coordinates internally and the returned series is mapped
-    back through the readout's standardizer.
-
-    Raises :class:`NonFiniteError` if a state or output leaves the finite
-    range, which signals an unstable readout.
-    """
-    r_start = _start_states(r_start, (res.n_r,), "r_start")
-    outputs = _evolve(res, r_start, n_steps, w_out=readout.w_out)
-    # w_out is finite, so a non-finite state always shows in its output
-    finite = np.isfinite(outputs).all(axis=1)
-    if not finite.all():
-        raise NonFiniteError(
-            f"closed-loop output became non-finite at step {np.argmin(finite)}")
-    return TimeSeries(readout.standardizer.invert_values(outputs), dt, t0)
-
-
-def synchronize(res: Reservoir, readout: "Readout", test_signal: TimeSeries) -> np.ndarray:
-    """Drive from the zero state through the standardized test signal.
-
-    Returns the final reservoir state, ready for :func:`run_closed_loop`.
-    """
-    standardized = readout.standardizer.apply(test_signal)
-    return drive_open_loop(res, standardized, res.zero_state())[-1]
+    return _evolve(res, r0, signal.shape[0], inputs=signal)
 
 
 def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray) -> np.ndarray:

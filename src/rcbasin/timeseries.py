@@ -1,12 +1,12 @@
-"""Uniformly sampled multivariate signals and their training-time preprocessing.
+"""Uniformly sampled multivariate signals, standardization and CSV tables.
 
-A :class:`TimeSeries` is the carrier for everything that flows through the
-pipeline: integrated trajectories, training signals, test signals, and
-closed-loop predictions.  :class:`Standardizer` implements the shift/scale
-transform fitted on the union of the training signals (zero mean, unit
-maximum absolute value per component); noise injection implements the white
-noise added to standardized training inputs before ridge fitting.
-:func:`write_table` writes every CSV artifact: series, basin maps and sweeps.
+A :class:`TimeSeries` carries a signal across the package's edges: integrated
+trajectories, training signals and the series the CLI reads and writes.
+Inside the pipeline signals are plain arrays.  :class:`Standardizer`
+implements the shift/scale transform fitted on the union of the training
+signals (zero mean, unit maximum absolute value per component) and applies it
+to arrays of any leading shape.  :func:`write_table` writes every CSV
+artifact: series, basin maps and sweeps.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class TimeSeries:
 class Standardizer:
     """Per-component shift/scale transform.
 
-    ``apply`` maps v to (v - shift) / scale; fitted so the union of the
+    ``apply_values`` maps v to (v - shift) / scale; fitted so the union of the
     training signals has component-wise mean zero and maximum absolute
     value one.  Scales are strictly positive by construction.
     """
@@ -114,9 +114,6 @@ class Standardizer:
         self._check(values)
         return values * self.scale + self.shift
 
-    def apply(self, signal: TimeSeries) -> TimeSeries:
-        return TimeSeries(self.apply_values(signal.values), signal.dt, signal.t0)
-
     def _check(self, values: np.ndarray):
         if np.shape(values)[-1] != self.n_components:
             raise DimensionMismatchError(
@@ -149,37 +146,6 @@ def fit_standardizer(signals: Sequence[TimeSeries]) -> Standardizer:
         dead = np.nonzero(scale == 0.0)[0].tolist()
         raise ZeroRangeError(f"components {dead} are constant over the training union")
     return Standardizer(shift, scale)
-
-
-def component_rms(signals: Sequence[TimeSeries], j: int) -> float:
-    """Root-mean-square amplitude of component ``j`` pooled over all signals."""
-    n_in = _check_same_width(signals)
-    if not 0 <= j < n_in:
-        raise DimensionMismatchError(f"component {j} out of range for width {n_in}")
-    total = sum(float(np.sum(s.values[:, j] ** 2)) for s in signals)
-    count = sum(s.n_samples for s in signals)
-    return float(np.sqrt(total / count))
-
-
-def add_training_noise(
-    signal: TimeSeries,
-    eta: float,
-    rms: np.ndarray,
-    rng: np.random.Generator,
-) -> TimeSeries:
-    """Add independent Gaussian noise with std ``eta * rms[j]`` per component.
-
-    The input signal is left untouched.  With ``eta == 0`` the output values
-    equal the input values exactly (the generator is still advanced, so the
-    draw sequence does not depend on eta).
-    """
-    if eta < 0.0:
-        raise ValueError("eta must be non-negative")
-    rms = np.asarray(rms, dtype=float)
-    if rms.shape != (signal.n_components,):
-        raise DimensionMismatchError("rms must have one entry per component")
-    noise = rng.standard_normal(signal.values.shape) * (eta * rms)
-    return TimeSeries(signal.values + noise, signal.dt, signal.t0)
 
 
 def write_table(path, header: str, rows, meta: dict | None = None) -> None:

@@ -11,6 +11,9 @@ reservoir states are ever held at once.  The fit pair count is
 
 exactly: each signal of N_i samples yields N_i - 1 state/next-sample pairs,
 of which the first n_trans are dropped.
+
+Signals arrive as :class:`TimeSeries`; standardization, the pooled
+per-component RMS and the training noise work on their value arrays.
 """
 
 from __future__ import annotations
@@ -32,13 +35,7 @@ from .errors import (
     TooShortError,
 )
 from .reservoir import Reservoir, ReservoirSpec, drive_open_loop
-from .timeseries import (
-    Standardizer,
-    TimeSeries,
-    add_training_noise,
-    component_rms,
-    fit_standardizer,
-)
+from .timeseries import Standardizer, TimeSeries, fit_standardizer
 
 
 @dataclass(frozen=True)
@@ -190,13 +187,17 @@ def train_with_mse(res: Reservoir, signals: Sequence[TimeSeries], cfg: TrainConf
 
     if standardizer is None:
         standardizer = fit_standardizer(signals)
-    standardized = [standardizer.apply(s) for s in signals]
-    rms = np.array([component_rms(standardized, j) for j in range(n_in)])
+    standardized = [standardizer.apply_values(s.values) for s in signals]
+    # per-component RMS pooled over every sample of every signal
+    n_samples = sum(v.shape[0] for v in standardized)
+    rms = np.array([np.sqrt(sum(float(np.sum(v[:, j] ** 2)) for v in standardized)
+                            / n_samples) for j in range(n_in)])
 
     rng = np.random.default_rng(cfg.seed)
     acc = NormalAccumulator(res.n_r, n_in)
-    for signal in standardized:
-        noisy = add_training_noise(signal, cfg.eta, rms, rng).values
+    for values in standardized:
+        # drawn even at eta 0, so the noise stream does not depend on eta
+        noisy = values + rng.standard_normal(values.shape) * (cfg.eta * rms)
         inputs = noisy[:-1]
         targets = noisy[1:]
         state = res.zero_state()

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rcbasin import cli, experiment
 from rcbasin.cli import main
 from rcbasin.experiment import ExperimentConfig, config_hash, load_basin_map
-from rcbasin.timeseries import read_csv
-from rcbasin.training import load_model
+from rcbasin.reservoir import Reservoir, ReservoirSpec
+from rcbasin.timeseries import Standardizer, read_csv
+from rcbasin.training import Readout, load_model, save_model
 
 MINIMAL_WELLS = """
 [system]
@@ -103,6 +105,12 @@ def duffing_ini(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def printed_state(printed: str, prefix: str) -> np.ndarray:
+    """The numbers on the ``prefix`` line, which must be bare floats."""
+    line = next(line for line in printed.splitlines() if line.startswith(prefix))
+    return np.array([float(tok) for tok in line[len(prefix):].split()])
 
 
 class TestConfigValidation:
@@ -236,7 +244,10 @@ class TestSimulate:
         traj = read_csv(out / "trajectory.csv")
         assert traj.n_samples == 101
         assert abs(traj.values[-1, 0] - 3.1623) < 1e-3
-        assert "converged to attractor 1" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "converged to attractor 1" in printed
+        # bare round-tripping numbers, not numpy scalar reprs
+        assert printed_state(printed, "final state:").tobytes() == traj.values[-1].tobytes()
 
     def test_repeatable_output(self, wells_ini, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -272,8 +283,32 @@ class TestTrainPredict:
         assert code == 0
         prediction = read_csv(out / "prediction.csv")
         assert prediction.n_samples == 600 - 5
+        assert prediction.t0 == 5 * 0.01
         # initial condition (2, 2) sits in the trained-on quadrant
         assert np.abs(prediction.values[-1] - [1.0, 1.0]).max() < 0.3
+        printed = printed_state(capsys.readouterr().out, "final predicted state:")
+        assert printed.tobytes() == prediction.values[-1].tobytes()
+
+    def test_predict_divergence_is_an_error(self, tmp_path, capsys):
+        # a frozen-input leaky pair ramping toward tanh(5): after one synchronizing
+        # sample the output 1e308 * (r_a + r_b) is finite for steps 0-2 and
+        # overflows at step 3
+        spec = ReservoirSpec(n_r=2, mean_degree=1.0, spectral_radius=0.0, input_strength=0.0,
+                             bias_strength=5.0, leakage=0.5, n_in=1, seed=0)
+        res = Reservoir(sparse.csr_matrix((2, 2)), np.zeros((2, 1)), np.full(2, 5.0),
+                        spec.leakage, spec=spec)
+        bundle = tmp_path / "diverging.npz"
+        save_model(bundle, res, Readout(w_out=np.full((1, 2), 1e308),
+                                        standardizer=Standardizer.identity(1), n_fit=1))
+        ini = tmp_path / "duffing.ini"
+        ini.write_text("[system]\nname = duffing\n[experiment]\nn_test = 1\nhorizon = 40\n"
+                       "[predict]\nic = 1.0, 0.0\n")
+        out = tmp_path / "pred"
+        assert run(["predict", "--config", str(ini), "--out", str(out),
+                    "--bundle", str(bundle)]) == 1
+        assert "error: closed-loop output became non-finite at step 3" in \
+            capsys.readouterr().err
+        assert not list(out.glob("*"))
 
     def test_predict_prints_map_label(self, tmp_path, capsys):
         ini = tmp_path / "duffing.ini"
@@ -296,6 +331,35 @@ class TestTrainPredict:
         code = run(["predict", "--config", wells_ini, "--out", str(tmp_path / "p")])
         assert code == 2
         assert "--bundle" in capsys.readouterr().err
+
+
+class TestForecastWindow:
+    """A window too short to label is a config error before any work."""
+
+    SHORT = "[system]\nname = duffing\n[experiment]\nn_train = 2\nresolution = 2\n" \
+            "n_test = 10\nhorizon = 20\n[predict]\nic = 1.0, 0.0\n"
+
+    @pytest.mark.parametrize("command", ["basin-map", "predict"])
+    def test_forecast_shorter_than_tail(self, duffing_ini, tmp_path, capsys, command):
+        bundle = tmp_path / "model" / "model.npz"
+        assert run(["train", "--config", duffing_ini, "--out", str(bundle.parent)]) == 0
+        ini = tmp_path / "short.ini"
+        ini.write_text(self.SHORT)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([command, "--config", str(ini), "--out", str(out),
+                    "--bundle", str(bundle)]) == 2
+        assert "horizon - n_test (10) must be at least tail_len (25)" in \
+            capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_simulation_shorter_than_tail(self, tmp_path, capsys):
+        ini = tmp_path / "short.ini"
+        ini.write_text("[system]\nname = duffing\n[simulate]\nic = 1.0, 0.0\nn_steps = 5\n")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+        assert "[simulate] n_steps (5) gives 6 samples" in capsys.readouterr().err
+        assert not list(out.glob("*"))
 
 
 class TestBasinMapCommand:

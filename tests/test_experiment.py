@@ -60,6 +60,14 @@ class TestConfig:
     def test_window_validation(self):
         with pytest.raises(InvalidWindowError):
             default_config("multi_well", n_test=100, horizon=100)
+        # the forecast window must hold the tail the classifier labels
+        with pytest.raises(InvalidWindowError, match=r"\(10\).*tail_len \(25\)"):
+            default_config("duffing", n_test=10, horizon=20)
+        assert default_config("duffing", n_test=10, horizon=35).horizon == 35
+        with pytest.raises(InvalidWindowError, match=r"\(250\).*kl_tail \(500\)"):
+            default_config("multistable_lorenz", n_test=50, horizon=300)
+        assert default_config("multistable_lorenz", n_test=50, horizon=300,
+                              kl_threshold=None).kl_tail == 500
 
     @pytest.mark.parametrize("override, message", [
         (dict(eta=-1), "eta must be non-negative"),

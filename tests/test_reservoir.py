@@ -6,7 +6,7 @@ from scipy import sparse
 
 import rcbasin.reservoir as reservoir_mod
 
-from rcbasin.errors import DimensionMismatchError, NonFiniteError, SchemaMismatchError
+from rcbasin.errors import DimensionMismatchError, SchemaMismatchError
 from rcbasin.reservoir import (
     Reservoir,
     ReservoirSpec,
@@ -16,9 +16,7 @@ from rcbasin.reservoir import (
     drive_open_loop,
     drive_open_loop_batch,
     estimate_spectral_radius,
-    run_closed_loop,
     run_closed_loop_batch,
-    synchronize,
 )
 from rcbasin.timeseries import Standardizer, TimeSeries
 from rcbasin.training import Readout, TrainConfig, load_model, save_model, train
@@ -113,30 +111,32 @@ class TestBuild:
 class TestDriveOpenLoop:
     def test_zero_everything_stays_zero(self):
         res = hand_reservoir(np.zeros((3, 3)), np.ones((3, 1)), np.zeros(3))
-        states = drive_open_loop(res, TimeSeries(np.zeros((10, 1)), 0.1), np.zeros(3))
+        states = drive_open_loop(res, np.zeros((10, 1)), np.zeros(3))
         assert np.array_equal(states, np.zeros((10, 3)))
 
     def test_zero_leakage_freezes_state(self):
         res = hand_reservoir(np.eye(2), np.ones((2, 1)), np.ones(2), leakage=0.0)
         r0 = np.array([0.3, -0.7])
-        states = drive_open_loop(res, TimeSeries(np.ones((5, 1)), 0.1), r0)
+        states = drive_open_loop(res, np.ones((5, 1)), r0)
         assert np.array_equal(states, np.tile(r0, (5, 1)))
 
     def test_single_node_one_step(self):
         res = hand_reservoir([[0.5]], [[1.0]], [0.0])
-        states = drive_open_loop(res, TimeSeries(np.array([[1.0]]), 0.1), np.zeros(1))
+        states = drive_open_loop(res, np.array([[1.0]]), np.zeros(1))
         assert states[0, 0] == pytest.approx(np.tanh(1.0), abs=1e-12)
 
     def test_dimension_mismatch(self):
         res = hand_reservoir(np.zeros((3, 3)), np.ones((3, 1)), np.zeros(3))
+        # a signal is an (n_samples, n_in) array, never 1-d
+        for signal in (np.zeros((4, 2)), np.zeros(4)):
+            with pytest.raises(DimensionMismatchError):
+                drive_open_loop(res, signal, np.zeros(3))
         with pytest.raises(DimensionMismatchError):
-            drive_open_loop(res, TimeSeries(np.zeros((4, 2)), 0.1), np.zeros(3))
-        with pytest.raises(DimensionMismatchError):
-            drive_open_loop(res, TimeSeries(np.zeros((4, 1)), 0.1), np.zeros(2))
+            drive_open_loop(res, np.zeros((4, 1)), np.zeros(2))
 
     def test_states_bounded_by_tanh(self):
         res = build_reservoir(small_spec(input_strength=5.0))
-        signal = TimeSeries(50 * np.random.default_rng(0).standard_normal((200, 1)), 0.1)
+        signal = 50 * np.random.default_rng(0).standard_normal((200, 1))
         states = drive_open_loop(res, signal, np.zeros(res.n_r))
         assert np.abs(states).max() <= 1.0
 
@@ -153,7 +153,7 @@ class TestDriveOpenLoop:
         # two random initial states forget each other under the same drive
         res = build_reservoir(duffing_table_spec())
         rng = np.random.default_rng(1)
-        signal = TimeSeries(rng.uniform(-1, 1, size=(500, 1)), 0.01)
+        signal = rng.uniform(-1, 1, size=(500, 1))
         a = drive_open_loop(res, signal, rng.uniform(-1, 1, res.n_r))
         b = drive_open_loop(res, signal, rng.uniform(-1, 1, res.n_r))
         assert np.linalg.norm(a[-1] - b[-1]) < 1e-6
@@ -164,8 +164,8 @@ class TestClosedLoop:
         res = build_reservoir(small_spec(n_in=2))
         st = Standardizer(np.array([1.0, -2.0]), np.array([3.0, 4.0]))
         ro = Readout(w_out=np.zeros((2, res.n_r)), standardizer=st, n_fit=1)
-        out = run_closed_loop(res, ro, np.zeros(res.n_r), 5)
-        assert np.allclose(out.values, st.invert_values(np.zeros((5, 2))), atol=1e-15)
+        out = run_closed_loop_batch(res, ro, np.zeros((1, res.n_r)), 5)[0]
+        assert np.allclose(out, st.invert_values(np.zeros((5, 2))), atol=1e-15)
 
     def test_one_step_matches_open_loop_on_emitted_output(self):
         res = build_reservoir(small_spec())
@@ -173,10 +173,9 @@ class TestClosedLoop:
         w_out = rng.standard_normal((1, res.n_r)) * 0.1
         ro = identity_readout(w_out, 1)
         r0 = rng.uniform(-0.5, 0.5, res.n_r)
-        out = run_closed_loop(res, ro, r0, 2)
-        first = out.values[0]
-        states = drive_open_loop(res, first[None, :], r0)
-        assert out.values[1] == pytest.approx(w_out @ states[-1], abs=1e-12)
+        out = run_closed_loop_batch(res, ro, r0[None], 2)[0]
+        states = drive_open_loop(res, out[:1], r0)
+        assert out[1] == pytest.approx(w_out @ states[-1], abs=1e-12)
 
     def test_trained_on_constant_holds_constant(self):
         # closed loop from a synchronized state stays at the training constant
@@ -185,16 +184,17 @@ class TestClosedLoop:
         signal = TimeSeries(np.full((300, 1), c), 0.01)
         cfg = TrainConfig(n_trans=5, alpha=1e-10, eta=1e-4, seed=8)
         ro = train(res, [signal], cfg, standardizer=Standardizer.identity(1))
-        state = synchronize(res, ro, signal.prefix(20))
-        out = run_closed_loop(res, ro, state, 2000)
-        assert np.abs(out.values - c).max() < 1e-3
+        prefix = ro.standardizer.apply_values(signal.values[:20])
+        out = run_closed_loop_batch(res, ro, drive_open_loop_batch(res, prefix[None]), 2000)
+        assert np.abs(out - c).max() < 1e-3
 
     def test_nonfinite_detected(self):
+        # not raised: the overflow shows in the returned output
         res = hand_reservoir([[0.0]], [[1.0]], [0.0])
         huge = Readout(w_out=np.array([[1e300]]),
                        standardizer=Standardizer.identity(1), n_fit=1)
-        with pytest.raises(NonFiniteError):
-            run_closed_loop(res, huge, np.full(1, 1e308), 10)
+        out = run_closed_loop_batch(res, huge, np.full((1, 1), 1e308), 10)
+        assert not np.isfinite(out[0, 0, 0])
 
     def test_batch_nan_isolated_per_run(self):
         res = build_reservoir(small_spec(n_r=20))
@@ -209,25 +209,23 @@ class TestClosedLoop:
 
 
 class TestSynchronize:
+    """Synchronization is the open-loop batch drive from the zero state."""
+
     def test_zero_leakage_returns_zero_state(self):
         res = hand_reservoir(np.eye(3), np.ones((3, 1)), np.ones(3), leakage=0.0)
-        ro = identity_readout(np.zeros((1, 3)), 1)
-        state = synchronize(res, ro, TimeSeries(np.array([[2.0]]), 0.1))
-        assert np.array_equal(state, np.zeros(3))
+        assert np.array_equal(drive_open_loop_batch(res, np.array([[[2.0]]])),
+                              np.zeros((1, 3)))
 
     def test_deterministic(self):
         res = build_reservoir(small_spec())
-        ro = identity_readout(np.zeros((1, res.n_r)), 1)
-        sig = TimeSeries(np.sin(np.arange(100.0))[:, None], 0.1)
-        assert np.array_equal(synchronize(res, ro, sig), synchronize(res, ro, sig))
+        sig = np.sin(np.arange(100.0))[None, :, None]
+        assert np.array_equal(drive_open_loop_batch(res, sig), drive_open_loop_batch(res, sig))
 
     def test_memory_distinguishes_offset_windows(self):
         res = build_reservoir(small_spec())
-        ro = identity_readout(np.zeros((1, res.n_r)), 1)
         t = np.arange(400.0)
         tail = np.sin(0.1 * t)[:, None]
-        a = synchronize(res, ro, TimeSeries(tail[200:300], 0.1))
-        b = synchronize(res, ro, TimeSeries(tail[250:350], 0.1))
+        a, b = drive_open_loop_batch(res, np.stack([tail[200:300], tail[250:350]]))
         assert np.linalg.norm(a - b) > 1e-8
 
 
@@ -241,13 +239,13 @@ class TestSerialization:
         path = tmp_path / "model.npz"
         save_model(path, res, ro)
         back, ro_back = load_model(path)
-        signal = TimeSeries(rng.standard_normal((50, 2)), 0.1)
+        signal = rng.standard_normal((50, 2))
         a = drive_open_loop(res, signal, np.zeros(res.n_r))
         b = drive_open_loop(back, signal, np.zeros(back.n_r))
         assert np.array_equal(a, b)
-        r0 = a[-1]
-        assert np.array_equal(run_closed_loop(res, ro, r0, 20).values,
-                              run_closed_loop(back, ro_back, r0, 20).values)
+        r0 = a[-1:]
+        assert np.array_equal(run_closed_loop_batch(res, ro, r0, 20),
+                              run_closed_loop_batch(back, ro_back, r0, 20))
 
     def test_repeated_save_byte_identical(self, tmp_path):
         res = build_reservoir(small_spec(seed=21))
@@ -280,8 +278,9 @@ class TestSingleRunIsBatchOfOne:
     @pytest.mark.parametrize("n_in", [1, 2])
     @pytest.mark.parametrize("leakage", [1.0, 0.3])
     def test_closed_loop(self, n_in, leakage):
+        # the kernel's single run against the batch of one that predict runs
         res, ro, _, r0 = kernel_case(n_in, leakage)
-        single = run_closed_loop(res, ro, r0, 60).values
+        single = ro.standardizer.invert_values(_evolve(res, r0, 60, w_out=ro.w_out))
         batch = run_closed_loop_batch(res, ro, r0[None], 60)
         tail = run_closed_loop_batch(res, ro, r0[None], 60, keep_last=7)
         assert batch.shape == (1, 60, n_in) and tail.shape == (1, 7, n_in)
@@ -304,10 +303,6 @@ class TestBatchValidation:
         with pytest.raises(DimensionMismatchError):
             run_closed_loop_batch(self.res, self.ro, np.zeros(shape), 4)
 
-    def test_single_closed_loop_start_shape(self):
-        with pytest.raises(DimensionMismatchError):
-            run_closed_loop(self.res, self.ro, np.zeros((1, 20)), 4)
-
     @pytest.mark.parametrize("w_shape", [(2, 20), (1, 21)])
     def test_readout_shape(self, w_shape):
         # a 2-output readout on a 1-input reservoir, and a readout for another n_r
@@ -315,8 +310,6 @@ class TestBatchValidation:
                      n_fit=1)
         with pytest.raises(DimensionMismatchError):
             run_closed_loop_batch(self.res, ro, np.zeros((3, 20)), 4)
-        with pytest.raises(DimensionMismatchError):
-            run_closed_loop(self.res, ro, np.zeros(20), 4)
 
 
 class TestClosedLoopDivergence:
@@ -326,11 +319,6 @@ class TestClosedLoopDivergence:
         self.res = hand_reservoir(np.zeros((2, 2)), np.zeros((2, 1)), [5.0, 5.0],
                                   leakage=0.5)
         self.ro = identity_readout(np.full((1, 2), 1e308), 1)
-
-    def test_single_run_raises_mid_run(self):
-        with pytest.raises(NonFiniteError, match="step 4"):
-            run_closed_loop(self.res, self.ro, np.zeros(2), 10)
-        assert np.all(np.isfinite(run_closed_loop(self.res, self.ro, np.zeros(2), 4).values))
 
     def test_batch_keeps_divergence_in_its_column(self):
         out = run_closed_loop_batch(self.res, self.ro, np.zeros((1, 2)), 10)
@@ -548,8 +536,8 @@ class TestCallerArraysUntouched:
         res, ro, starts, inputs = self.case(n_in, leakage)
         r0, signal = starts[0].copy(), inputs[0].copy()
         drive_open_loop(res, signal, r0)
-        run_closed_loop(res, ro, r0, 12)
         _evolve(res, r0, 12, inputs=signal)
+        _evolve(res, r0, 12, w_out=ro.w_out)
         assert r0.tobytes() == starts[0].tobytes()
         assert signal.tobytes() == inputs[0].tobytes()
 

@@ -1,20 +1,57 @@
 import numpy as np
 import pytest
 
+import rcbasin.training as training_mod
+
 from rcbasin.errors import DimensionMismatchError, ZeroRangeError
+from rcbasin.reservoir import ReservoirSpec, build_reservoir, drive_open_loop
 from rcbasin.timeseries import (
     Standardizer,
     TimeSeries,
-    add_training_noise,
-    component_rms,
     fit_standardizer,
     read_csv,
     write_csv,
 )
+from rcbasin.training import TrainConfig, train_with_mse
 
 
 def series(values, dt=0.1):
     return TimeSeries(np.asarray(values, dtype=float), dt)
+
+
+def training_inputs(monkeypatch, signals, eta, seed=0):
+    """The noisy inputs ``train_with_mse`` drives with, one array per signal.
+
+    Raw inputs (identity standardizer) and ``n_trans`` 0; each signal but
+    its last sample, which is only a target, is driven in one call.
+    """
+    seen = []
+
+    def spy(res, signal, r0):
+        seen.append(np.array(signal))
+        return drive_open_loop(res, signal, r0)
+
+    monkeypatch.setattr(training_mod, "drive_open_loop", spy)
+    n_in = signals[0].n_components
+    res = build_reservoir(ReservoirSpec(n_r=4, mean_degree=2.0, spectral_radius=0.4,
+                                        input_strength=1.0, bias_strength=0.5,
+                                        leakage=1.0, n_in=n_in, seed=0))
+    cfg = TrainConfig(n_trans=0, alpha=1e-6, eta=eta, batch_max_states=100_000, seed=seed)
+    train_with_mse(res, signals, cfg, standardizer=Standardizer.identity(n_in))
+    return seen
+
+
+def expected_inputs(signals, eta, rms, seed=0):
+    """Each signal plus ``eta * rms`` times its own draws, signal by signal."""
+    rng = np.random.default_rng(seed)
+    return [(s.values + rng.standard_normal(s.values.shape) * (eta * np.asarray(rms)))[:-1]
+            for s in signals]
+
+
+def assert_inputs_equal(seen, expected):
+    assert len(seen) == len(expected)
+    for a, b in zip(seen, expected):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestTimeSeries:
@@ -56,8 +93,8 @@ class TestFitStandardizer:
         st = fit_standardizer([series([-2.0, 0.0, 2.0])])
         assert st.shift[0] == pytest.approx(0.0)
         assert st.scale[0] == pytest.approx(2.0)
-        out = st.apply(series([-2.0, 0.0, 2.0]))
-        assert out.values[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
+        out = st.apply_values(series([-2.0, 0.0, 2.0]).values)
+        assert out[:, 0] == pytest.approx([-1.0, 0.0, 1.0])
 
     def test_two_signal_union(self):
         # union of [0, 2] and [0, 4]: mean 1.5, max abs deviation 2.5
@@ -65,8 +102,8 @@ class TestFitStandardizer:
         st = fit_standardizer([a, b])
         assert st.shift[0] == pytest.approx(1.5)
         assert st.scale[0] == pytest.approx(2.5)
-        assert st.apply(a).values[:, 0] == pytest.approx([-0.6, 0.2])
-        assert st.apply(b).values[:, 0] == pytest.approx([-0.6, 1.0])
+        assert st.apply_values(a.values)[:, 0] == pytest.approx([-0.6, 0.2])
+        assert st.apply_values(b.values)[:, 0] == pytest.approx([-0.6, 1.0])
 
     def test_constant_component_rejected(self):
         with pytest.raises(ZeroRangeError):
@@ -76,7 +113,7 @@ class TestFitStandardizer:
         rng = np.random.default_rng(3)
         signals = [TimeSeries(rng.normal(2.0, 5.0, size=(40, 3)), 0.1) for _ in range(4)]
         st = fit_standardizer(signals)
-        union = np.concatenate([st.apply(s).values for s in signals])
+        union = np.concatenate([st.apply_values(s.values) for s in signals])
         assert np.abs(union.mean(axis=0)).max() < 1e-12
         assert np.abs(np.abs(union).max(axis=0) - 1.0).max() < 1e-12
 
@@ -85,13 +122,13 @@ class TestFitStandardizer:
         signals = [TimeSeries(rng.uniform(-3, 9, size=(25, 2)), 0.1)]
         st = fit_standardizer(signals)
         probe = TimeSeries(rng.uniform(-100, 100, size=(50, 2)), 0.1)
-        back = st.invert_values(st.apply(probe).values)
+        back = st.invert_values(st.apply_values(probe.values))
         assert np.abs(back - probe.values).max() <= 1e-12 * st.scale.max()
 
     def test_identity_standardizer(self):
         st = Standardizer.identity(2)
         probe = TimeSeries(np.array([[3.0, -4.0]]), 0.1)
-        assert np.array_equal(st.apply(probe).values, probe.values)
+        assert np.array_equal(st.apply_values(probe.values), probe.values)
 
     def test_zero_scale_rejected_directly(self):
         with pytest.raises(ZeroRangeError):
@@ -99,53 +136,86 @@ class TestFitStandardizer:
 
 
 class TestComponentRms:
-    def test_constant(self):
-        assert component_rms([series([3.0, 3.0, 3.0])], 0) == pytest.approx(3.0)
+    """The RMS ``train_with_mse`` scales its noise by, per component, pooled
+    over every sample of every signal."""
 
-    def test_two_values(self):
-        assert component_rms([series([3.0, 4.0])], 0) == pytest.approx(np.sqrt(12.5))
+    ETA = 1e-3
 
-    def test_zeros(self):
-        assert component_rms([series([0.0, 0.0])], 0) == 0.0
+    def check(self, monkeypatch, signals, rms):
+        assert_inputs_equal(training_inputs(monkeypatch, signals, self.ETA),
+                            expected_inputs(signals, self.ETA, [rms]))
 
-    def test_pooled_over_signals(self):
-        val = component_rms([series([1.0]), series([2.0, 2.0, 2.0])], 0)
-        assert val == pytest.approx(np.sqrt((1.0 + 3 * 4.0) / 4))
+    def test_constant(self, monkeypatch):
+        self.check(monkeypatch, [series([3.0, 3.0, 3.0])], 3.0)
 
-    def test_bad_component(self):
+    def test_two_values(self, monkeypatch):
+        self.check(monkeypatch, [series([3.0, 4.0])], np.sqrt(12.5))
+
+    def test_zeros(self, monkeypatch):
+        signals = [series([0.0, 0.0, 0.0])]
+        assert_inputs_equal(training_inputs(monkeypatch, signals, self.ETA),
+                            [np.zeros((2, 1))])
+
+    def test_pooled_over_signals(self, monkeypatch):
+        # per sample: sqrt((2 * 1 + 6 * 4) / 8), not the mean of the per-signal RMS
+        self.check(monkeypatch, [series([1.0] * 2), series([2.0] * 6)], np.sqrt(26.0 / 8))
+
+    def test_bad_component(self, monkeypatch):
         with pytest.raises(DimensionMismatchError):
-            component_rms([series([1.0])], 1)
+            training_inputs(monkeypatch, [series([1.0, 2.0]), TimeSeries(np.ones((3, 2)), 0.1)],
+                            self.ETA)
 
 
 class TestAddTrainingNoise:
-    def test_zero_eta_identical(self):
-        ts = series([1.0, -2.0, 3.0])
-        out = add_training_noise(ts, 0.0, np.array([1.0]), np.random.default_rng(0))
-        assert np.array_equal(out.values, ts.values)
+    """The white noise ``train_with_mse`` adds to the standardized inputs."""
 
-    def test_zero_rms_component_unchanged(self):
-        ts = TimeSeries(np.ones((100, 2)), 0.1)
-        out = add_training_noise(ts, 0.5, np.array([0.0, 1.0]), np.random.default_rng(0))
-        assert np.array_equal(out.values[:, 0], ts.values[:, 0])
-        assert not np.array_equal(out.values[:, 1], ts.values[:, 1])
+    def test_zero_eta_identical(self, monkeypatch):
+        # the generator still advances, so the draws do not depend on eta
+        draws = []
 
-    def test_empirical_std(self):
-        # eta 1e-3 times unit rms over 1e5 samples: std within 5 percent
-        ts = TimeSeries(np.zeros((100_000, 1)), 0.1)
-        out = add_training_noise(ts, 1e-3, np.array([1.0]), np.random.default_rng(11))
-        assert np.std(out.values - ts.values) == pytest.approx(1e-3, rel=0.05)
+        class Recording(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                draws.append(size)
+                return super().standard_normal(size, *args, **kwargs)
 
-    def test_same_seed_bit_identical(self):
-        ts = TimeSeries(np.linspace(0, 1, 64)[:, None], 0.1)
-        a = add_training_noise(ts, 1e-2, np.array([2.0]), np.random.default_rng(42))
-        b = add_training_noise(ts, 1e-2, np.array([2.0]), np.random.default_rng(42))
-        assert np.array_equal(a.values, b.values)
+        def default_rng(seed=None):
+            # numpy's: a generator passes through, a seed becomes Generator(PCG64(seed))
+            if isinstance(seed, np.random.Generator):
+                return seed
+            return Recording(np.random.PCG64(seed))
 
-    def test_source_unmodified(self):
-        ts = series([1.0, 2.0])
-        before = ts.values.copy()
-        add_training_noise(ts, 1.0, np.array([1.0]), np.random.default_rng(0))
-        assert np.array_equal(ts.values, before)
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        signals = [series([1.0, -2.0, 3.0]), series([0.5, 4.0])]
+        assert_inputs_equal(training_inputs(monkeypatch, signals, 0.0),
+                            [s.values[:-1] for s in signals])
+        assert draws == [(3, 1), (2, 1)]
+
+    def test_zero_rms_component_unchanged(self, monkeypatch):
+        values = np.column_stack([np.zeros(100), np.ones(100)])
+        (seen,) = training_inputs(monkeypatch, [TimeSeries(values, 0.1)], 0.5)
+        assert np.array_equal(seen[:, 0], values[:-1, 0])
+        assert not np.array_equal(seen[:, 1], values[:-1, 1])
+
+    def test_empirical_std(self, monkeypatch):
+        # eta 1e-3 times RMS 2 and 0.5 over 2e4 samples: each std within 5 percent
+        signs = np.where(np.arange(20_000) % 2, 1.0, -1.0)
+        values = np.column_stack([2.0 * signs, 0.5 * signs])
+        (seen,) = training_inputs(monkeypatch, [TimeSeries(values, 0.1)], 1e-3)
+        assert np.std(seen - values[:-1], axis=0) == pytest.approx([2e-3, 5e-4], rel=0.05)
+
+    def test_same_seed_bit_identical(self, monkeypatch):
+        signals = [TimeSeries(np.linspace(0, 1, 64)[:, None], 0.1)]
+        a = training_inputs(monkeypatch, signals, 1e-2, seed=42)
+        b = training_inputs(monkeypatch, signals, 1e-2, seed=42)
+        c = training_inputs(monkeypatch, signals, 1e-2, seed=43)
+        assert_inputs_equal(a, b)
+        assert not np.array_equal(a[0], c[0])
+
+    def test_source_unmodified(self, monkeypatch):
+        signal = series([1.0, 2.0, 4.0])
+        before = signal.values.copy()
+        training_inputs(monkeypatch, [signal], 1.0)
+        assert np.array_equal(signal.values, before)
 
 
 class TestCsv:
