@@ -162,6 +162,8 @@ def cmd_simulate(cfg, inputs: dict, out: _OutputTracker) -> None:
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[simulate] ic needs {sys_def.dim} components, got {len(ic)}")
+    if n_steps < 1:
+        raise ConfigError(f"[simulate] n_steps must be at least 1, got {n_steps}")
     if not sys_def.chaotic and n_steps + 1 < cfg.tail_len:
         raise ConfigError(f"[simulate] n_steps ({n_steps}) gives {n_steps + 1} samples, "
                           f"fewer than [criteria] tail_len ({cfg.tail_len}) to label")

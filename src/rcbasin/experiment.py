@@ -39,6 +39,7 @@ from .classify import (
 from .errors import (
     DimensionMismatchError,
     InvalidWindowError,
+    NonFiniteError,
     SamplingExhaustedError,
     SchemaMismatchError,
     StepSizeUnderflowError,
@@ -51,7 +52,7 @@ from .reservoir import (
     run_closed_loop_batch,
 )
 from .systems import SystemDef, integrate_adaptive, make_system, rk4_ensemble
-from .timeseries import Standardizer, TimeSeries, write_table
+from .timeseries import Standardizer, write_table
 from .training import Readout, TrainConfig
 
 #: Cells processed per batch; fixed so numerics do not depend on parallelism.
@@ -141,10 +142,16 @@ class ExperimentConfig:
             raise ValueError("half widths must be positive")
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
+        if self.train_sig_len < self.n_trans + 2:
+            raise InvalidWindowError(
+                f"train_sig_len ({self.train_sig_len}) must be at least n_trans + 2 "
+                f"({self.n_trans + 2}): each signal must leave a fit pair")
         if self.max_attempt_factor < 1:
             raise ValueError("max_attempt_factor must be at least 1")
-        if len(self.observe) < 1:
-            raise ValueError("observe at least one component")
+        if len(self.observe) < 1 or min(self.observe) < 0:
+            raise ValueError("observe at least one component, each a non-negative index")
+        if len(self.grid_axes) != 2 or len(set(self.grid_axes)) != 2 or min(self.grid_axes) < 0:
+            raise ValueError("grid_axes must be two distinct non-negative indices")
         reservoir_spec_from_config(self)
         train_config_from_config(self)
         criteria_from_config(self)
@@ -208,7 +215,13 @@ def provenance(cfg: ExperimentConfig) -> dict:
 
 
 def system_from_config(cfg: ExperimentConfig) -> SystemDef:
-    return make_system(cfg.system, **cfg.system_params)
+    """The configured system, whose state must hold every observed component and grid axis."""
+    sys = make_system(cfg.system, **cfg.system_params)
+    if max(*cfg.observe, *cfg.grid_axes) >= sys.dim:
+        raise DimensionMismatchError(
+            f"components {list(cfg.observe)} and grid_axes {list(cfg.grid_axes)} must "
+            f"index the {sys.dim} state components of {sys.name}")
+    return sys
 
 
 def criteria_from_config(cfg: ExperimentConfig) -> ConvergenceCriteria:
@@ -310,36 +323,29 @@ def _run_jobs(fn, jobs: Sequence, parallel: int) -> list:
     return [fn(job) for job in jobs]
 
 
-def _truth_chunk(cfg: ExperimentConfig, ics_chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and observed test prefixes for one chunk of grid cells.
-
-    A label is -1 when the trajectory is unresolved or not finite.
-    """
-    sys = system_from_config(cfg)
-    crit = criteria_from_config(cfg)
-    block, failed = _trajectories(cfg, sys, ics_chunk, cfg.horizon - 1)
-    if failed.any():
-        raise _underflow(ics_chunk[np.argmax(failed)])
-    labels = np.array([label if isinstance(label, int) else -1
-                       for label in label_trajectories(sys, crit, block, range(sys.dim))])
-    labels[~np.isfinite(block).all(axis=(1, 2))] = -1
-    prefixes = np.ascontiguousarray(block[:, :cfg.n_test, list(cfg.observe)])
-    return labels, prefixes
-
-
-def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray,
-                           parallel: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """True labels plus observed test prefixes for every initial condition.
 
     Work proceeds in fixed chunks of :data:`CELL_CHUNK` cells, each
-    integrated as one ensemble by either integrator; with ``parallel > 1``
-    chunks are farmed out to worker processes.  Results are identical for
-    any degree because cells never interact.  Raises
+    integrated as one ensemble by either integrator.  A label is -1 when the
+    trajectory is unresolved or not finite.  Raises
     :class:`StepSizeUnderflowError` if any adaptive cell fails.
     """
-    chunks = [ics[lo:lo + CELL_CHUNK] for lo in range(0, ics.shape[0], CELL_CHUNK)]
-    labels, prefixes = zip(*_run_jobs(functools.partial(_truth_chunk, cfg), chunks, parallel))
-    return np.concatenate(labels), np.concatenate(prefixes)
+    sys = system_from_config(cfg)
+    crit = criteria_from_config(cfg)
+    labels = np.empty(len(ics), dtype=int)
+    prefixes = np.empty((len(ics), cfg.n_test, len(cfg.observe)))
+    for lo in range(0, len(ics), CELL_CHUNK):
+        chunk = ics[lo:lo + CELL_CHUNK]
+        block, failed = _trajectories(cfg, sys, chunk, cfg.horizon - 1)
+        if failed.any():
+            raise _underflow(chunk[np.argmax(failed)])
+        hi = lo + len(chunk)
+        labels[lo:hi] = [label if isinstance(label, int) else -1
+                         for label in label_trajectories(sys, crit, block, range(sys.dim))]
+        labels[lo:hi][~np.isfinite(block).all(axis=(1, 2))] = -1
+        prefixes[lo:hi] = block[:, :cfg.n_test, list(cfg.observe)]
+    return labels, prefixes
 
 
 #: Smallest restricted rejection-sampling block, and the margin added to the
@@ -348,22 +354,24 @@ _REJECT_BLOCK = 32
 
 
 def generate_training_set(cfg: ExperimentConfig,
-                          sys: SystemDef | None = None) -> list[TimeSeries]:
-    """Draw training signals by rejection sampling in the training box.
+                          sys: SystemDef | None = None) -> np.ndarray:
+    """Draw the training signals, one ``(n_train, train_sig_len, n_obs)`` array.
 
     Initial conditions are uniform on the configured plane (off-plane
     components zero).  When ``restrict_to_basin`` is set, each candidate is
-    integrated over the rejection horizon and kept only if it converges to
-    the requested attractor; accepted trajectories contribute their first
-    ``train_sig_len`` samples.  The observation mask is applied last.
+    integrated over the rejection horizon and kept only if it is finite and
+    converges to the requested attractor; accepted trajectories fill the
+    array in draw order with their first ``train_sig_len`` observed samples.
 
     Candidates are drawn in blocks, each integrated as one ensemble by
     either integrator, and examined in draw order.  Uniform draws come in
     sequence and every row of an ensemble is integrated independently of
     its width, so the accepted set depends only on the generator state, not
     on the block widths.  A candidate whose adaptive integration failed
-    raises :class:`StepSizeUnderflowError` when it is examined; candidates
-    after the last acceptance needed are never examined (nor labelled).
+    raises :class:`StepSizeUnderflowError` when it is examined, and an
+    unrestricted candidate that is not finite raises
+    :class:`NonFiniteError`; candidates after the last acceptance needed are
+    never examined (nor labelled).
 
     Blocks are sized from the ``need`` signals still missing: ``need`` when
     sampling is unrestricted, ``max(_REJECT_BLOCK, need)`` before the first
@@ -400,24 +408,25 @@ def generate_training_set(cfg: ExperimentConfig,
                 "training signals")
     crit = criteria_from_config(cfg)
 
-    signals: list[TimeSeries] = []
+    signals = np.empty((cfg.n_train, cfg.train_sig_len, len(cfg.observe)))
+    accepted = 0
     attempts = 0
     cap = cfg.max_attempt_factor * cfg.n_train
-    while len(signals) < cfg.n_train:
-        need = cfg.n_train - len(signals)
+    while accepted < cfg.n_train:
+        need = cfg.n_train - accepted
         if basin is None:
             block = need
-        elif not signals:
+        elif not accepted:
             block = max(_REJECT_BLOCK, need)
         else:
-            block = -(-need * attempts // len(signals)) + _REJECT_BLOCK
+            block = -(-need * attempts // accepted) + _REJECT_BLOCK
         block = min(block, CELL_CHUNK, cap - attempts)
         if block <= 0:
             hint = ("; the requested basin may not intersect the sampling box"
-                    if not signals else "")
+                    if not accepted else "")
             raise SamplingExhaustedError(
-                f"accepted {len(signals)}/{cfg.n_train} signals in {attempts} "
-                f"attempts ({len(signals) / attempts:.1%} acceptance), the cap of "
+                f"accepted {accepted}/{cfg.n_train} signals in {attempts} "
+                f"attempts ({accepted / attempts:.1%} acceptance), the cap of "
                 f"max_attempt_factor * n_train = {cap}{hint}")
         coords = rng.uniform(-cfg.train_half_width, cfg.train_half_width,
                              size=(block, 2))
@@ -431,9 +440,11 @@ def generate_training_set(cfg: ExperimentConfig,
                 label = label_trajectories(sys, crit, values[None], range(sys.dim))[0]
                 if label != basin or not np.isfinite(values).all():
                     continue
-            keep = values[:cfg.train_sig_len][:, list(cfg.observe)]
-            signals.append(TimeSeries(keep, cfg.dt))
-            if len(signals) == cfg.n_train:
+            elif not np.isfinite(values).all():
+                raise NonFiniteError(f"training trajectory from {ic.tolist()} is not finite")
+            signals[accepted] = values[:cfg.train_sig_len, list(cfg.observe)]
+            accepted += 1
+            if accepted == cfg.n_train:
                 break
     return signals
 

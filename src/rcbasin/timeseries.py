@@ -1,12 +1,12 @@
 """Uniformly sampled multivariate signals, standardization and CSV tables.
 
-A :class:`TimeSeries` carries a signal across the package's edges: integrated
-trajectories, training signals and the series the CLI reads and writes.
-Inside the pipeline signals are plain arrays.  :class:`Standardizer`
-implements the shift/scale transform fitted on the union of the training
-signals (zero mean, unit maximum absolute value per component) and applies it
-to arrays of any leading shape.  :func:`write_table` writes every CSV
-artifact: series, basin maps and sweeps.
+A :class:`TimeSeries` carries a signal across the package's edges: single
+integrated trajectories, training signals handed to ``train`` and the series
+the CLI reads and writes.  Inside the pipeline signals are plain arrays.
+:class:`Standardizer` implements the shift/scale transform fitted on the
+union of the training samples (zero mean, unit maximum absolute value per
+component) and applies it to arrays of any leading shape.
+:func:`write_table` writes every CSV artifact: series, basin maps and sweeps.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ class TimeSeries:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_samples)
-
-    def prefix(self, n: int) -> "TimeSeries":
-        """First ``n`` samples as a new series."""
-        return TimeSeries(self.values[:n], self.dt, self.t0)
 
     def observe(self, components: Sequence[int]) -> "TimeSeries":
         """Project onto the given components (partial observation)."""
@@ -121,25 +117,15 @@ class Standardizer:
             )
 
 
-def _check_same_width(signals: Sequence[TimeSeries]) -> int:
-    if len(signals) == 0:
-        raise ValueError("need at least one signal")
-    n_in = signals[0].n_components
-    for s in signals:
-        if s.n_components != n_in:
-            raise DimensionMismatchError("signals have differing component counts")
-    return n_in
+def fit_standardizer(samples: np.ndarray) -> Standardizer:
+    """Fit shift (mean) and scale (max absolute deviation) per component.
 
-
-def fit_standardizer(signals: Sequence[TimeSeries]) -> Standardizer:
-    """Fit shift (mean) and scale (max absolute deviation) over all signals.
-
-    Statistics are pooled over every sample of every signal.  Raises
-    :class:`ZeroRangeError` if some component is constant across the whole
-    union, since a zero scale would make the transform non-invertible.
+    ``samples`` is every training sample, stacked as ``(n_samples,
+    n_components)``.  Raises :class:`ZeroRangeError` if some component is
+    constant across the whole union, since a zero scale would make the
+    transform non-invertible.
     """
-    _check_same_width(signals)
-    stacked = np.concatenate([s.values for s in signals], axis=0)
+    stacked = np.asarray(samples, dtype=float)
     shift = stacked.mean(axis=0)
     scale = np.abs(stacked - shift).max(axis=0)
     if np.any(scale == 0.0):

@@ -12,8 +12,9 @@ reservoir states are ever held at once.  The fit pair count is
 exactly: each signal of N_i samples yields N_i - 1 state/next-sample pairs,
 of which the first n_trans are dropped.
 
-Signals arrive as :class:`TimeSeries`; standardization, the pooled
-per-component RMS and the training noise work on their value arrays.
+Signals arrive as any sequence of ``(N_i, n_in)`` arrays (a 3-d array or a
+list of :class:`TimeSeries` included) and are stacked once; standardization,
+the pooled per-component RMS and the training noise work on the stack.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class TrainConfig:
         eta: Training noise amplitude, in units of each component's RMS.
         batch_max_states: Upper bound on reservoir states held at once.
         seed: Seed of the noise stream; draws are consumed signal by signal
-            in list order, so results do not depend on batching.
+            in sequence order, so results do not depend on batching.
     """
 
     n_trans: int = 5
@@ -156,10 +157,12 @@ def fit_mse(acc: NormalAccumulator, w_out: np.ndarray) -> float:
     return max(total, 0.0) / acc.n_fit
 
 
-def train(res: Reservoir, signals: Sequence[TimeSeries], cfg: TrainConfig,
+def train(res: Reservoir, signals: Sequence, cfg: TrainConfig,
           standardizer: Standardizer | None = None) -> Readout:
-    """Fit the readout over a list of disjoint training signals.
+    """Fit the readout over a sequence of disjoint training signals.
 
+    ``signals`` holds ``(N_i, n_in)`` arrays of any lengths: a list of
+    arrays or :class:`TimeSeries`, or one ``(n_signals, N, n_in)`` array.
     Pipeline: fit the standardizer on the union of the signals (unless one
     is supplied, e.g. the identity transform for raw-input experiments),
     standardize, add white noise, drive the reservoir from the zero state,
@@ -171,35 +174,41 @@ def train(res: Reservoir, signals: Sequence[TimeSeries], cfg: TrainConfig,
     return readout
 
 
-def train_with_mse(res: Reservoir, signals: Sequence[TimeSeries], cfg: TrainConfig,
+def train_with_mse(res: Reservoir, signals: Sequence, cfg: TrainConfig,
                    standardizer: Standardizer | None = None) -> tuple[Readout, float]:
     """Like :func:`train`, also returning the mean squared training error."""
-    if len(signals) == 0:
+    arrays = [np.asarray(s.values if isinstance(s, TimeSeries) else s, dtype=float)
+              for s in signals]
+    if not arrays:
         raise ValueError("need at least one training signal")
-    n_in = signals[0].n_components
-    if n_in != res.n_in:
-        raise DimensionMismatchError(
-            f"signals have {n_in} components but reservoir expects {res.n_in}")
-    for i, s in enumerate(signals):
-        if s.n_samples < cfg.n_trans + 2:
+    for i, values in enumerate(arrays):
+        if values.ndim != 2 or values.shape[1] != res.n_in:
+            raise DimensionMismatchError(f"signal {i} has shape {values.shape}; the "
+                                         f"reservoir expects (n_samples, {res.n_in})")
+        if values.shape[0] < cfg.n_trans + 2:
             raise TooShortError(
-                f"signal {i} has {s.n_samples} samples; need at least {cfg.n_trans + 2}")
+                f"signal {i} has {values.shape[0]} samples; need at least {cfg.n_trans + 2}")
+    # one series checks every sample is finite; it is also the TimeSeries span
+    # the benchmark's contract (perfbench/run.py COMMON_SPANS) needs in a map
+    stacked = TimeSeries(np.concatenate(arrays), dt=1.0).values
+    bounds = np.cumsum([values.shape[0] for values in arrays])[:-1]
 
     if standardizer is None:
-        standardizer = fit_standardizer(signals)
-    standardized = [standardizer.apply_values(s.values) for s in signals]
-    # per-component RMS pooled over every sample of every signal
-    n_samples = sum(v.shape[0] for v in standardized)
-    rms = np.array([np.sqrt(sum(float(np.sum(v[:, j] ** 2)) for v in standardized)
-                            / n_samples) for j in range(n_in)])
+        standardizer = fit_standardizer(stacked)
+    standardized = standardizer.apply_values(stacked)
+    # per-component RMS pooled over every sample, summed signal by signal
+    rms = np.array([np.sqrt(sum(float(np.sum(v[:, j] ** 2))
+                                for v in np.split(standardized, bounds)) / len(stacked))
+                    for j in range(res.n_in)])
+    # drawn even at eta 0, so the noise stream does not depend on eta; one
+    # draw for the stack equals consecutive draws signal by signal
+    noise = np.random.default_rng(cfg.seed).standard_normal(standardized.shape)
+    noisy = standardized + noise * (cfg.eta * rms)
 
-    rng = np.random.default_rng(cfg.seed)
-    acc = NormalAccumulator(res.n_r, n_in)
-    for values in standardized:
-        # drawn even at eta 0, so the noise stream does not depend on eta
-        noisy = values + rng.standard_normal(values.shape) * (cfg.eta * rms)
-        inputs = noisy[:-1]
-        targets = noisy[1:]
+    acc = NormalAccumulator(res.n_r, res.n_in)
+    for values in np.split(noisy, bounds):
+        inputs = values[:-1]
+        targets = values[1:]
         state = res.zero_state()
         pos = 0
         while pos < inputs.shape[0]:

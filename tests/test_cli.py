@@ -362,6 +362,63 @@ class TestForecastWindow:
         assert not list(out.glob("*"))
 
 
+class TestIndexInputs:
+    """Grid axes and observed components are checked before any integration."""
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("experiment", "grid_axes", "0", "grid_axes must be two distinct"),
+        ("experiment", "grid_axes", "1 1", "grid_axes must be two distinct"),
+        ("experiment", "grid_axes", "-1 0", "grid_axes must be two distinct"),
+        ("observation", "components", "0 -1", "each a non-negative index"),
+        ("experiment", "train_sig_len", "3", "train_sig_len (3) must be at least n_trans + 2"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "basin-map"])
+    def test_config_error(self, tmp_path, capsys, command, section, key, value, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[system]\nname = duffing\n[{section}]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run([command, "--config", str(ini), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("experiment", "grid_axes", "0 5", "grid_axes [0, 5] must index"),
+        ("observation", "components", "0 7", "components [0, 7] and grid_axes [0, 1] must"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "basin-map"])
+    def test_index_beyond_dim(self, tmp_path, capsys, monkeypatch, command,
+                              section, key, value, message):
+        calls = []
+        for name in ("rk4_ensemble", "integrate_adaptive"):
+            monkeypatch.setattr(experiment, name, lambda *args, **kwargs: calls.append(args))
+        sections = {"experiment": "n_train = 2\nresolution = 2\n", "observation": ""}
+        sections[section] += f"{key} = {value}\n"
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[system]\nname = duffing\n" + "".join(
+            f"[{name}]\n{body}" for name, body in sections.items()))
+        out = tmp_path / "out"
+        flags = ["--parallel", "1"] if command == "basin-map" else []
+        assert run([command, "--config", str(ini), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "the 2 state components of duffing" in err and "Traceback" not in err
+        assert calls == []
+        assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("system, ic", [("duffing", "1.0, 0.0"),
+                                            ("multistable_lorenz", "1.0, 1.0, 1.0")])
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_simulate_needs_a_step(self, tmp_path, capsys, system, ic, n_steps):
+        ini = tmp_path / "short.ini"
+        ini.write_text(f"[system]\nname = {system}\n[simulate]\nic = {ic}\n"
+                       f"n_steps = {n_steps}\n")
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(ini), "--out", str(out)]) == 2
+        assert f"[simulate] n_steps must be at least 1, got {n_steps}" in \
+            capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+
 class TestBasinMapCommand:
     def test_artifacts_and_summary(self, wells_ini, tmp_path, capsys):
         out = tmp_path / "map"

@@ -7,7 +7,9 @@ import pytest
 import rcbasin.experiment as experiment_mod
 from rcbasin.classify import CORRECT, BasinOutcome, score
 from rcbasin.errors import (
+    DimensionMismatchError,
     InvalidWindowError,
+    NonFiniteError,
     SamplingExhaustedError,
     SchemaMismatchError,
     StepSizeUnderflowError,
@@ -83,6 +85,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_attempt_factor must be at least 1"):
             default_config("multi_well", max_attempt_factor=factor)
 
+    def test_training_signal_leaves_a_fit_pair(self):
+        with pytest.raises(InvalidWindowError, match=r"train_sig_len \(6\).*n_trans \+ 2 \(7\)"):
+            default_config("duffing", train_sig_len=6)
+        assert default_config("duffing", train_sig_len=7).train_sig_len == 7
+
+    @pytest.mark.parametrize("override", [dict(grid_axes=(0,)), dict(grid_axes=(1, 1)),
+                                          dict(grid_axes=(0, 1, 2)), dict(grid_axes=(-1, 0)),
+                                          dict(observe=(0, -1))])
+    def test_index_fields_checked_at_construction(self, override):
+        with pytest.raises(ValueError, match="non-negative"):
+            default_config("duffing", **override)
+
+    @pytest.mark.parametrize("override", [dict(grid_axes=(0, 2)), dict(observe=(0, 2))])
+    def test_index_beyond_dim_rejected_with_the_system(self, override):
+        cfg = default_config("duffing", **override)
+        with pytest.raises(DimensionMismatchError, match="the 2 state components of duffing"):
+            system_from_config(cfg)
+        with pytest.raises(DimensionMismatchError):
+            make_grid(cfg)
+        assert system_from_config(default_config("magnetic_pendulum", **override)).dim == 4
+
     def test_forced_duffing_drops_energy_barrier(self):
         cfg = default_config("duffing", system_params={"f0": 1.0})
         assert cfg.energy_barrier is None
@@ -121,7 +144,7 @@ class TestGenerateTrainingSet:
         cfg = wells_config(restrict_to_basin=0, n_train=12)
         signals = generate_training_set(cfg)
         assert len(signals) == 12
-        starts = np.array([s.values[0] for s in signals])
+        starts = signals[:, 0]
         assert np.all(starts[:, 0] < 0) and np.all(starts[:, 1] < 0)
 
     def test_duffing_restriction_reclassifies(self):
@@ -138,19 +161,31 @@ class TestGenerateTrainingSet:
         signals = generate_training_set(cfg)
         assert len(signals) == 10
         for sig in signals:
-            traj = integrate_rk4(sys, sig.values[0], cfg.dt, cfg.reject_horizon)
+            traj = integrate_rk4(sys, sig[0], cfg.dt, cfg.reject_horizon)
             assert classify_fixed_point(traj, sys, crit, full_state=True) == 0
 
     def test_unrestricted_accepts_everything(self):
         cfg = wells_config(n_train=5)
         signals = generate_training_set(cfg)
-        assert len(signals) == 5
-        assert all(s.n_samples == cfg.train_sig_len for s in signals)
+        assert isinstance(signals, np.ndarray)
+        assert signals.shape == (5, cfg.train_sig_len, 2)
 
     def test_observation_mask_applied(self):
         cfg = default_config("duffing", n_train=2)
         signals = generate_training_set(cfg)
-        assert all(s.n_components == 1 for s in signals)
+        assert signals.shape == (2, cfg.train_sig_len, 1)
+
+    def test_nonfinite_unrestricted_signal_raises(self, monkeypatch):
+        trajectories = experiment_mod._trajectories
+
+        def blowing_up(cfg_, sys, ics, n_steps):
+            block, failed = trajectories(cfg_, sys, ics, n_steps)
+            block[1, -1, 0] = np.inf
+            return block, failed
+
+        monkeypatch.setattr(experiment_mod, "_trajectories", blowing_up)
+        with pytest.raises(NonFiniteError, match="is not finite"):
+            generate_training_set(wells_config(n_train=3))
 
     def test_sampling_exhausted_for_unreachable_basin(self):
         # the duffing system has two attractors, so label 5 never matches
@@ -163,7 +198,7 @@ class TestGenerateTrainingSet:
         cfg = wells_config(restrict_to_basin=2, n_train=4)
         a = generate_training_set(cfg)
         b = generate_training_set(cfg)
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAdaptiveSamplingBlocks:
@@ -231,7 +266,7 @@ class TestAdaptiveSamplingBlocks:
         signals = generate_training_set(cfg)
         assert len(signals) == len(expected) == cfg.n_train
         for signal, values in zip(signals, expected):
-            assert signal.values.tobytes() == values.tobytes()
+            assert signal.tobytes() == values.tobytes()
 
     def test_failure_before_last_acceptance_raises(self, monkeypatch):
         self.failing_at(monkeypatch, 5)
@@ -244,8 +279,7 @@ class TestAdaptiveSamplingBlocks:
         self.failing_at(monkeypatch, 10)
         signals = generate_training_set(cfg)
         assert len(signals) == len(clean) == cfg.n_train
-        for a, b in zip(signals, clean):
-            assert a.values.tobytes() == b.values.tobytes()
+        assert signals.tobytes() == clean.tobytes()
 
 
 class TestRestrictToBasinRange:
@@ -300,8 +334,7 @@ def parent_generate_training_set(cfg):
                                                           range(sys.dim))[0]
                 if label != basin or not np.isfinite(values).all():
                     continue
-            keep = values[:cfg.train_sig_len][:, list(cfg.observe)]
-            signals.append(experiment_mod.TimeSeries(keep, cfg.dt))
+            signals.append(values[:cfg.train_sig_len][:, list(cfg.observe)])
             if len(signals) == cfg.n_train:
                 break
     return signals
@@ -329,8 +362,7 @@ class TestNeedSizedBlocks:
         signals = generate_training_set(cfg)
         assert len(signals) == len(expected) == cfg.n_train
         for a, b in zip(signals, expected):
-            assert a.values.tobytes() == b.values.tobytes()
-            assert a.dt == b.dt
+            assert a.tobytes() == b.tobytes()
         return widths
 
     def test_restricted_rk4(self, monkeypatch):
@@ -434,13 +466,12 @@ class TestSamplingWindow:
     def test_horizon_of_signal_length_suffices(self):
         cfg = default_config("duffing", n_train=2, restrict_to_basin=0,
                              reject_horizon=499)
-        signals = generate_training_set(cfg)
-        assert [s.n_samples for s in signals] == [500, 500]
+        assert generate_training_set(cfg).shape[:2] == (2, 500)
 
     def test_chaotic_sampling_ignores_reject_horizon(self):
         cfg = default_config("multistable_lorenz", restrict_to_basin=0,
                              train_sig_len=600, reject_horizon=100)
-        assert generate_training_set(cfg)[0].n_samples == 600
+        assert generate_training_set(cfg).shape[1] == 600
 
 
 class TestAdaptiveTruthTasks:
@@ -476,15 +507,6 @@ class TestAdaptiveTruthTasks:
         with pytest.raises(StepSizeUnderflowError):
             truth_and_test_signals(cfg, ics)
 
-    def test_parallel_identical(self):
-        cfg = self.config()
-        _, ics = make_grid(cfg)
-        labels1, prefixes1 = truth_and_test_signals(cfg, ics, parallel=1)
-        labels2, prefixes2 = truth_and_test_signals(cfg, ics, parallel=2)
-        assert {0, 1} <= set(labels1.tolist())
-        assert np.array_equal(labels1, labels2)
-        assert np.array_equal(prefixes1, prefixes2)
-
 
 class TestRunBasinExperiment:
     def test_easy_regime_high_accuracy(self, wells_map):
@@ -512,14 +534,6 @@ class TestRunBasinExperiment:
         chunked = run_basin_experiment(wells_config())
         assert chunked.outcomes == wells_map.outcomes
 
-    def test_parallel_truth_identical(self):
-        cfg = wells_config()
-        _, ics = make_grid(cfg)
-        labels1, prefixes1 = truth_and_test_signals(cfg, ics, parallel=1)
-        labels2, prefixes2 = truth_and_test_signals(cfg, ics, parallel=2)
-        assert np.array_equal(labels1, labels2)
-        assert np.array_equal(prefixes1, prefixes2)
-
     def test_observation_mask_reaches_reservoir(self, monkeypatch):
         # x-only duffing: every array driven into the reservoir is 1-wide and
         # carries exactly the standardized x components of the truth
@@ -543,7 +557,7 @@ class TestRunBasinExperiment:
         from rcbasin.timeseries import fit_standardizer
 
         sys = system_from_config(cfg)
-        standardizer = fit_standardizer(generate_training_set(cfg, sys))
+        standardizer = fit_standardizer(generate_training_set(cfg, sys).reshape(-1, 1))
         _, ics = make_grid(cfg)
         ensemble = rk4_ensemble(sys, ics, cfg.dt, cfg.n_test - 1)
         x_prefix = np.moveaxis(ensemble[..., :1], 0, 1)
@@ -606,11 +620,15 @@ class TestDuffingTruthStructure:
     def test_matches_stored_reference(self):
         # the two-basin spiral structure of the truth labels on the standard
         # 150 x 150 grid, pinned against a stored reference integration
+        import functools
         import pathlib
 
         cfg = default_config("duffing", resolution=150)
         _, ics = make_grid(cfg)
-        labels, _ = truth_and_test_signals(cfg, ics, parallel=2)
+        chunks = [ics[lo:lo + experiment_mod.CELL_CHUNK]
+                  for lo in range(0, len(ics), experiment_mod.CELL_CHUNK)]
+        labels = np.concatenate([chunk_labels for chunk_labels, _ in experiment_mod._run_jobs(
+            functools.partial(truth_and_test_signals, cfg), chunks, parallel=2)])
         grid = labels.reshape(150, 150)
 
         reference_path = pathlib.Path(__file__).parent / "data" / "duffing_truth_150.txt"

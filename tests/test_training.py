@@ -199,6 +199,36 @@ class TestTrain:
         with pytest.raises(TooShortError):
             train(res, [short], TrainConfig(n_trans=5))
 
+    def test_input_forms_agree(self, duffing_signals):
+        # a list of TimeSeries, a list of arrays and one 3-d array are the same input
+        res = small_reservoir()
+        cfg = TrainConfig(eta=1e-3, seed=4)
+        stack = np.array([s.values for s in duffing_signals])
+        readouts = [train(res, signals, cfg) for signals in
+                    (duffing_signals, [s.values for s in duffing_signals], stack)]
+        for ro in readouts[1:]:
+            assert ro.w_out.tobytes() == readouts[0].w_out.tobytes()
+            assert ro.standardizer.shift.tobytes() == readouts[0].standardizer.shift.tobytes()
+
+    def test_unequal_lengths(self, duffing_signals):
+        res = small_reservoir()
+        signals = [duffing_signals[0], TimeSeries(duffing_signals[1].values[:120], 0.01),
+                   duffing_signals[2]]
+        ro = train(res, signals, TrainConfig(n_trans=5))
+        assert ro.n_fit == 500 + 120 + 500 - 3 * (5 + 1)
+
+    @pytest.mark.parametrize("signals", [np.zeros((2, 50, 2)), [np.zeros(50)],
+                                         np.zeros((50, 1))])
+    def test_signal_shape_checked(self, signals):
+        with pytest.raises(DimensionMismatchError, match="expects \\(n_samples, 1\\)"):
+            train(small_reservoir(), signals, TrainConfig())
+
+    def test_nonfinite_signal_rejected(self, duffing_signals):
+        bad = duffing_signals[1].values.copy()
+        bad[7, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            train(small_reservoir(), [duffing_signals[0], bad], TrainConfig())
+
     def test_batched_training_equivalence(self, duffing_signals):
         # identical noise stream per signal, so batching only regroups sums
         res = small_reservoir()
