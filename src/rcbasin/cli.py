@@ -5,9 +5,9 @@ modules; every omitted key falls back to the per-system defaults, so a
 minimal config is just ``[system]\\nname = duffing``.  Each key is declared
 once, by an :class:`ExperimentConfig` field or as a subcommand input, and
 :func:`read_config` checks every section before any work starts.  All
-randomness flows from config-declared seeds (overridable on the command
-line); there is no wall-clock seeding, and results do not depend on
-``--parallel``.
+randomness flows from the ``[seeds]`` section, so the INI file alone
+describes a run; there is no wall-clock seeding, and results do not depend
+on ``--parallel``.
 
 Exit code 0 means the requested artifact was fully written; on failure,
 partially written files are removed.
@@ -20,7 +20,7 @@ import configparser
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -36,8 +36,13 @@ class ConfigError(RcbasinError):
     """Raised with a section/key diagnostic when a config does not validate."""
 
 
-def _ints(text): return tuple(int(tok) for tok in text.replace(",", " ").split())
-def _floats(text): return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _values(parse, text):
+    values = tuple(parse(tok) for tok in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
+def _ints(text): return _values(int, text)
+def _floats(text): return _values(float, text)
 def _bool(text):
     if text.lower() in ("1", "true", "yes", "on"):
         return True
@@ -62,10 +67,10 @@ _FIELD_MAP = {(f.metadata["ini"][0], f.metadata["ini"][1] or f.name): (f.name, _
               for f in fields(ExperimentConfig) if "ini" in f.metadata}
 
 #: Subcommand inputs: (section, key) -> parser.
-_INPUTS = {("simulate", "ic"): _floats, ("simulate", "n_steps"): int,
+_INPUTS = {("simulate", "ic"): _floats, ("simulate", "n_steps"): _at_least_one,
            ("predict", "ic"): _floats,
            ("sweep", "n_train"): _ints, ("sweep", "train_half_width"): _floats,
-           ("sweep", "test_half_width"): _floats, ("sweep", "realizations"): int}
+           ("sweep", "test_half_width"): _floats, ("sweep", "realizations"): _at_least_one}
 
 
 def read_config(path) -> tuple[ExperimentConfig, dict]:
@@ -111,8 +116,8 @@ def read_config(path) -> tuple[ExperimentConfig, dict]:
                 raise ConfigError(f"unknown key in [{section}]: {key}")
             try:
                 target[name] = parse(raw)
-            except ValueError as err:
-                raise ConfigError(f"invalid value in [{section}] {key}: {raw!r}") from err
+            except (ValueError, argparse.ArgumentTypeError) as err:
+                raise ConfigError(f"invalid value in [{section}] {key}: {raw!r} ({err})") from err
     if system_params:
         overrides["system_params"] = system_params
     try:
@@ -162,8 +167,6 @@ def cmd_simulate(cfg, inputs: dict, out: _OutputTracker) -> None:
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[simulate] ic needs {sys_def.dim} components, got {len(ic)}")
-    if n_steps < 1:
-        raise ConfigError(f"[simulate] n_steps must be at least 1, got {n_steps}")
     if not sys_def.chaotic and n_steps + 1 < cfg.tail_len:
         raise ConfigError(f"[simulate] n_steps ({n_steps}) gives {n_steps + 1} samples, "
                           f"fewer than [criteria] tail_len ({cfg.tail_len}) to label")
@@ -189,6 +192,7 @@ def cmd_predict(cfg, inputs: dict, out: _OutputTracker, bundle: str) -> None:
     if bundle is None:
         raise ConfigError("predict requires --bundle MODEL")
     res, readout = training.load_model(bundle)
+    experiment.check_model(cfg, res)
     ic = _require(inputs, "predict", "ic")
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
@@ -274,9 +278,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         if name != "render":
             p.add_argument("--config", required=True, help="INI experiment config")
-            p.add_argument("--seed-reservoir", type=int, default=None)
-            p.add_argument("--seed-sampling", type=int, default=None)
-            p.add_argument("--seed-noise", type=int, default=None)
         else:
             p.add_argument("--map", required=True, help="persisted basin map CSV")
         p.add_argument("--out", required=True, help="output directory")
@@ -293,9 +294,6 @@ def main(argv=None) -> int:
             cmd_render(args.map, out)
             return 0
         cfg, inputs = read_config(args.config)
-        seeds = {name: getattr(args, name)
-                 for name in ("seed_reservoir", "seed_sampling", "seed_noise")}
-        cfg = replace(cfg, **{k: v for k, v in seeds.items() if v is not None})
         if args.command == "simulate":
             cmd_simulate(cfg, inputs, out)
         elif args.command == "train":

@@ -14,7 +14,6 @@ results are identical for any worker count.
 
 from __future__ import annotations
 
-import ast
 import functools
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
@@ -52,7 +51,7 @@ from .reservoir import (
     run_closed_loop_batch,
 )
 from .systems import SystemDef, integrate_adaptive, make_system, rk4_ensemble
-from .timeseries import Standardizer, write_table
+from .timeseries import Standardizer, read_meta, read_table, write_table
 from .training import Readout, TrainConfig
 
 #: Cells processed per batch; fixed so numerics do not depend on parallelism.
@@ -314,11 +313,12 @@ def label_trajectories(sys: SystemDef, crit: ConvergenceCriteria, block: np.ndar
 def _run_jobs(fn, jobs: Sequence, parallel: int) -> list:
     """``[fn(job) for job in jobs]``, in worker processes when ``parallel > 1``.
 
-    Results come back in job order either way.  An exception raised by ``fn``,
-    or a worker's death, ends the whole run.
+    The pool starts no more workers than there are jobs.  Results come back
+    in job order either way.  An exception raised by ``fn``, or a worker's
+    death, ends the whole run.
     """
     if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
 
@@ -490,6 +490,13 @@ def train_from_config(cfg: ExperimentConfig,
     return res, readout, mse
 
 
+def check_model(cfg: ExperimentConfig, res: Reservoir) -> None:
+    """Raise :class:`DimensionMismatchError` unless ``res`` reads the observed components."""
+    if res.n_in != len(cfg.observe):
+        raise DimensionMismatchError(f"bundle expects {res.n_in} observed components, "
+                                     f"config observes {len(cfg.observe)}")
+
+
 def _map_chunk(cfg: ExperimentConfig, res: Reservoir, readout: Readout,
                ics_chunk: np.ndarray) -> tuple[np.ndarray, list[Label], np.ndarray]:
     """Truth labels, forecast labels and last observed test samples of one chunk.
@@ -520,10 +527,7 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
 
     if model is not None:
         res, readout = model
-        if res.n_in != len(cfg.observe):
-            raise DimensionMismatchError(
-                f"bundle expects {res.n_in} observed components, "
-                f"config observes {len(cfg.observe)}")
+        check_model(cfg, res)
     else:
         res, readout, _ = train_from_config(cfg, sys)
 
@@ -553,18 +557,6 @@ _MAP_HEADER = "ic_0,ic_1,true_label,pred_label,outcome"
 _SWEEP_HEADER = "n_train,half_train,half_test,realization,f_c,f_spurious"
 
 
-def _read_table(path, header: str, what: str) -> list[list[str]]:
-    """The cells of a :func:`write_table` CSV as strings, one list per row.
-
-    Raises :class:`SchemaMismatchError` naming ``what`` if the header differs.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        found = fh.readline().strip()
-        if found != header:
-            raise SchemaMismatchError(f"unexpected {what} header {found!r}")
-        return [line.strip().split(",") for line in fh]
-
-
 def persist(basin_map: BasinMap, path) -> None:
     """Write the map as CSV plus a key-value sidecar (``<path>.meta``)."""
     rows = ((float(c0), float(c1), int(truth), -1 if out.attractor is None else out.attractor,
@@ -577,14 +569,15 @@ def persist(basin_map: BasinMap, path) -> None:
 
 def load_basin_map(path) -> BasinMap:
     """Read a persisted map; metrics are recomputed from the cells."""
-    with open(str(path) + ".meta", "r", encoding="ascii") as fh:
-        meta = {key: ast.literal_eval(value)
-                for key, _, value in (line.strip().partition("=") for line in fh)}
+    meta = read_meta(path)
     if meta.get("schema") != _MAP_SCHEMA:
         raise SchemaMismatchError(f"unexpected basin map schema {meta.get('schema')!r}")
+    header, rows = read_table(path)
+    if header != _MAP_HEADER:
+        raise SchemaMismatchError(f"unexpected basin map header {header!r}")
 
     coords, truths, outcomes = [], [], []
-    for c0, c1, truth, pred, category in _read_table(path, _MAP_HEADER, "basin map"):
+    for c0, c1, truth, pred, category in rows:
         coords.append((float(c0), float(c1)))
         truths.append(int(truth))
         outcomes.append(BasinOutcome(category, attractor=None if int(pred) < 0 else int(pred)))
@@ -696,8 +689,3 @@ def write_sweep_csv(rows: Sequence[SweepRow], path,
                     provenance: dict | None = None) -> None:
     """Write sweep rows; provenance, when given, goes to a ``.meta`` sidecar."""
     write_table(path, _SWEEP_HEADER, (astuple(row) for row in rows), provenance)
-
-
-def read_sweep_csv(path) -> list[SweepRow]:
-    return [SweepRow(int(nt), float(ht), float(hv), int(r), float(fc), float(fs))
-            for nt, ht, hv, r, fc, fs in _read_table(path, _SWEEP_HEADER, "sweep")]

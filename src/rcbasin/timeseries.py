@@ -6,11 +6,13 @@ the CLI reads and writes.  Inside the pipeline signals are plain arrays.
 :class:`Standardizer` implements the shift/scale transform fitted on the
 union of the training samples (zero mean, unit maximum absolute value per
 component) and applies it to arrays of any leading shape.
-:func:`write_table` writes every CSV artifact: series, basin maps and sweeps.
+:func:`write_table` writes every CSV artifact: series, basin maps and sweeps;
+:func:`read_table` and :func:`read_meta` read them back.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -150,27 +152,37 @@ def write_table(path, header: str, rows, meta: dict | None = None) -> None:
                 fh.write(f"{key}={meta[key]!r}\n")
 
 
+def read_table(path) -> tuple[str, list[list[str]]]:
+    """The header line and the cells of a :func:`write_table` CSV, as strings."""
+    with open(path, "r", encoding="ascii") as fh:
+        return fh.readline().strip(), [line.strip().split(",") for line in fh]
+
+
+def read_meta(path) -> dict:
+    """The ``<path>.meta`` sidecar of a :func:`write_table` CSV, values by ``literal_eval``."""
+    with open(str(path) + ".meta", "r", encoding="ascii") as fh:
+        return {key: ast.literal_eval(value)
+                for key, _, value in (line.strip().partition("=") for line in fh)}
+
+
 def write_csv(signal: TimeSeries, path) -> None:
-    """Write ``t,u0,u1,...`` rows at full double precision (17 significant digits)."""
+    """Write ``t,u0,u1,...`` rows, each float in the shortest form that reads back exactly."""
     header = "t," + ",".join(f"u{j}" for j in range(signal.n_components))
     write_table(path, header, np.column_stack([signal.times, signal.values]))
 
 
-def read_csv(path, dt: float | None = None) -> TimeSeries:
+def read_csv(path) -> TimeSeries:
     """Read a series written by :func:`write_csv`.
 
-    ``dt`` is recovered from the time column; for a single-row file it cannot
-    be inferred and must be supplied (defaults to 1.0 when omitted).
+    ``dt`` is recovered from the time column; a single-row file gets 1.0.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) < 2 or header[0] != "t" or any(not h.startswith("u") for h in header[1:]):
-            raise ValueError(f"unrecognized header in {path}: {header}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(header):
+    header, rows = read_table(path)
+    names = header.split(",")
+    if len(names) < 2 or names[0] != "t" or any(not h.startswith("u") for h in names[1:]):
+        raise ValueError(f"unrecognized header in {path}: {names}")
+    if not rows or any(len(row) != len(names) for row in rows):
         raise ValueError(f"column count mismatch in {path}")
+    data = np.array([[float(cell) for cell in row] for row in rows])
     t = data[:, 0]
-    values = data[:, 1:]
-    if dt is None:
-        dt = float((t[-1] - t[0]) / (len(t) - 1)) if len(t) > 1 else 1.0
-    return TimeSeries(values, dt, t0=float(t[0]))
+    dt = float((t[-1] - t[0]) / (len(t) - 1)) if len(t) > 1 else 1.0
+    return TimeSeries(data[:, 1:], dt, t0=float(t[0]))

@@ -172,7 +172,9 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "n_r" in err and "many" in err
         for section, key, value in [("simulate", "n_steps", "ten"),
-                                    ("sweep", "realizations", "many")]:
+                                    ("sweep", "realizations", "many"),
+                                    ("sweep", "n_train", ""), ("sweep", "train_half_width", ""),
+                                    ("sweep", "test_half_width", "")]:
             cfg.write_text(f"[system]\nname = duffing\n[{section}]\n{key} = {value}\n"
                            + ("" if section == "simulate" else "[simulate]\n")
                            + "ic = 1, 0\n")
@@ -226,6 +228,15 @@ class TestFlags:
         assert exit_info.value.code == 2
         assert f"argument --parallel: must be at least 1, got {value}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed-reservoir", "--seed-sampling", "--seed-noise"])
+    def test_seeds_come_only_from_the_config(self, duffing_ini, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exit_info:
+            run(["basin-map", "--config", duffing_ini, "--out", str(out), flag, "7"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--seed-reservoir", "--seed-sampling",
                                       "--seed-noise", "--parallel"])
@@ -333,6 +344,26 @@ class TestTrainPredict:
         assert "--bundle" in capsys.readouterr().err
 
 
+class TestBundleCheck:
+    """A bundle must read the components the config observes."""
+
+    @pytest.mark.parametrize("command", ["basin-map", "predict"])
+    def test_observed_components_must_match(self, duffing_ini, tmp_path, capsys, command):
+        bundle = tmp_path / "model" / "model.npz"
+        assert run(["train", "--config", duffing_ini, "--out", str(bundle.parent)]) == 0
+        ini = tmp_path / "full.ini"
+        ini.write_text("[system]\nname = duffing\n[observation]\ncomponents = 0 1\n"
+                       "[experiment]\nn_train = 2\nresolution = 2\n"
+                       "[predict]\nic = 1.0, 0.0\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([command, "--config", str(ini), "--out", str(out),
+                    "--bundle", str(bundle)]) == 1
+        assert capsys.readouterr().err == \
+            "error: bundle expects 1 observed components, config observes 2\n"
+        assert not list(out.glob("*"))
+
+
 class TestForecastWindow:
     """A window too short to label is a config error before any work."""
 
@@ -414,8 +445,8 @@ class TestIndexInputs:
                        f"n_steps = {n_steps}\n")
         out = tmp_path / "out"
         assert run(["simulate", "--config", str(ini), "--out", str(out)]) == 2
-        assert f"[simulate] n_steps must be at least 1, got {n_steps}" in \
-            capsys.readouterr().err
+        assert (f"config error: invalid value in [simulate] n_steps: '{n_steps}' "
+                f"(must be at least 1, got {n_steps})") in capsys.readouterr().err
         assert not list(out.glob("*"))
 
 
@@ -455,9 +486,10 @@ class TestBasinMapCommand:
 
     def test_seed_override_changes_hash(self, wells_ini, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
+        seeded = tmp_path / "seeded.ini"
+        seeded.write_text(MINIMAL_WELLS + "[seeds]\nreservoir = 7\n")
         run(["basin-map", "--config", wells_ini, "--out", str(out1), "--parallel", "1"])
-        run(["basin-map", "--config", wells_ini, "--out", str(out2), "--parallel", "1",
-             "--seed-reservoir", "7"])
+        run(["basin-map", "--config", str(seeded), "--out", str(out2), "--parallel", "1"])
         a = load_basin_map(out1 / "basin_map.csv")
         b = load_basin_map(out2 / "basin_map.csv")
         assert a.provenance["config_hash"] != b.provenance["config_hash"]
@@ -490,8 +522,9 @@ class TestSweepCommand:
         ini.write_text(TINY_SWEEP + "realizations = 0\n")
         out = tmp_path / "sweep"
         assert run(["sweep", "--config", str(ini), "--out", str(out),
-                    "--parallel", "1"]) == 1
-        assert "error: realizations must be at least 1" in capsys.readouterr().err
+                    "--parallel", "1"]) == 2
+        assert ("config error: invalid value in [sweep] realizations: '0' "
+                "(must be at least 1, got 0)") in capsys.readouterr().err
         assert not list(out.glob("*"))
 
 

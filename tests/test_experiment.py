@@ -21,6 +21,7 @@ from rcbasin.experiment import (
     WRONG_COLOR,
     BasinMap,
     ExperimentConfig,
+    SweepRow,
     config_hash,
     default_config,
     generate_training_set,
@@ -31,12 +32,12 @@ from rcbasin.experiment import (
     render_basin_map,
     run_basin_experiment,
     run_sweep,
-    read_sweep_csv,
     system_from_config,
     truth_and_test_signals,
     write_sweep_csv,
 )
 from rcbasin.systems import AdaptiveEnsemble
+from rcbasin.timeseries import read_table
 def wells_config(**overrides):
     base = dict(resolution=6, horizon=800, n_test=5, n_train=8,
                 seed_reservoir=0, seed_sampling=1, seed_noise=2)
@@ -756,6 +757,27 @@ class TestSweep:
         with pytest.raises(ValueError, match="realizations must be at least 1"):
             run_sweep(wells_config(), [2], [4.0], [4.0], realizations=0)
 
+    def test_pool_no_wider_than_the_jobs(self, monkeypatch):
+        widths = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", Pool)
+        assert experiment_mod._run_jobs(abs, [-2, 3], parallel=6) == [2, 3]
+        assert experiment_mod._run_jobs(abs, [-1, -2, -3], parallel=2) == [1, 2, 3]
+        assert widths == [2, 2]
+
     def test_dead_worker_ends_the_run(self):
         with pytest.raises(BrokenProcessPool):
             experiment_mod._run_jobs(os._exit, [3, 3], parallel=2)
@@ -765,8 +787,9 @@ class TestSweep:
         rows, _ = run_sweep(cfg, [2], [4.0], [3.0, 4.0], realizations=1)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, path)
-        assert read_sweep_csv(path) == rows
-        header = path.read_text().splitlines()[0]
+        header, cells = read_table(path)
+        assert [SweepRow(int(nt), float(ht), float(hv), int(r), float(fc), float(fs))
+                for nt, ht, hv, r, fc, fs in cells] == rows
         assert header == "n_train,half_train,half_test,realization,f_c,f_spurious"
 
     def test_duffing_training_range_effect(self):

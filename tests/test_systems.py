@@ -292,13 +292,6 @@ class TestAdaptive:
         traj = integrate_adaptive(sys, eq, t_end=40.0, sample_dt=0.02)
         assert np.abs(traj.values - eq).max() < 1e-8
 
-    def test_matches_fine_rk4(self):
-        sys = magnetic_pendulum()
-        ic = np.array([0.8, -0.3, 0.0, 0.0])
-        fine = rk4_ensemble(sys, ic, 1e-4, 100_000)[::200, 0, :]
-        adaptive = integrate_adaptive(sys, ic, t_end=10.0, sample_dt=0.02)
-        assert np.abs(adaptive.values - fine).max() <= 1e-6
-
     def test_tolerance_monotone_trend(self):
         sys = magnetic_pendulum()
         ic = np.array([0.8, -0.3, 0.0, 0.0])

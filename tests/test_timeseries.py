@@ -236,4 +236,15 @@ class TestCsv:
     def test_single_row_needs_dt(self, tmp_path):
         path = tmp_path / "one.csv"
         write_csv(TimeSeries(np.array([[1.0]]), 0.25), path)
-        assert read_csv(path, dt=0.25).dt == 0.25
+        assert read_csv(path).dt == 1.0
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,x0\n0.0,1.0\n", "unrecognized header"),
+        ("t,u0\n0.0,1.0\n0.1\n", "column count mismatch"),
+        ("t,u0\n", "column count mismatch"),
+    ])
+    def test_malformed_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_csv(path)
