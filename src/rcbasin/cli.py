@@ -27,7 +27,6 @@ import numpy as np
 from . import experiment, training
 from .errors import NonFiniteError, RcbasinError
 from .experiment import ExperimentConfig, default_config
-from .reservoir import drive_open_loop_batch, run_closed_loop_batch
 from .systems import system_parameters
 from .timeseries import TimeSeries, write_csv
 
@@ -134,14 +133,16 @@ def _require(inputs: dict, section: str, key: str):
 
 
 class _OutputTracker:
-    """Removes the files written so far if the command fails midway."""
+    """Creates the output directory at the first write; if the command fails
+    midway, removes the files written so far and a directory it created."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.paths: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
+        self.new_dir = not os.path.isdir(out_dir)
 
     def path(self, name: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
         full = os.path.join(self.out_dir, name)
         self.paths.append(full)
         return full
@@ -150,6 +151,8 @@ class _OutputTracker:
         for p in self.paths:
             if os.path.exists(p):
                 os.remove(p)
+        if self.new_dir and os.path.isdir(self.out_dir) and not os.listdir(self.out_dir):
+            os.rmdir(self.out_dir)
 
 
 def _print_label(cfg, sys_def, values, components) -> None:
@@ -170,7 +173,7 @@ def cmd_simulate(cfg, inputs: dict, out: _OutputTracker) -> None:
     if not sys_def.chaotic and n_steps + 1 < cfg.tail_len:
         raise ConfigError(f"[simulate] n_steps ({n_steps}) gives {n_steps + 1} samples, "
                           f"fewer than [criteria] tail_len ({cfg.tail_len}) to label")
-    values = experiment.integrate_truth(cfg, sys_def, np.array(ic), n_steps)
+    values = experiment.integrate_truth(cfg, sys_def, np.array([ic]), n_steps)[0]
     series = TimeSeries(values, cfg.dt)
     write_csv(series, out.path("trajectory.csv"))
     print(f"wrote trajectory.csv ({series.n_samples} samples)")
@@ -197,12 +200,8 @@ def cmd_predict(cfg, inputs: dict, out: _OutputTracker, bundle: str) -> None:
     sys_def = experiment.system_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[predict] ic needs {sys_def.dim} components, got {len(ic)}")
-    prefix = experiment.integrate_truth(cfg, sys_def, np.array(ic),
-                                        cfg.n_test - 1)[:, list(cfg.observe)]
-    n_pred = cfg.horizon - cfg.n_test
-    # the map's two kernels on a batch of one cell
-    states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefix)[None])
-    values = run_closed_loop_batch(res, readout, states, n_pred)[0]
+    # the map's chunk path on a batch of one cell
+    _, (prefix,), (values,) = experiment.forecast_cells(cfg, res, readout, np.array([ic]))
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise NonFiniteError(
@@ -210,7 +209,7 @@ def cmd_predict(cfg, inputs: dict, out: _OutputTracker, bundle: str) -> None:
     write_csv(TimeSeries(prefix, cfg.dt), out.path("test_signal.csv"))
     write_csv(TimeSeries(values, cfg.dt, cfg.n_test * cfg.dt), out.path("prediction.csv"))
     print(f"wrote test_signal.csv ({cfg.n_test} samples) and "
-          f"prediction.csv ({n_pred} samples)")
+          f"prediction.csv ({len(values)} samples)")
     print("final predicted state:", " ".join(repr(float(v)) for v in values[-1]))
     if not sys_def.chaotic:
         _print_label(cfg, sys_def, values, cfg.observe)
@@ -287,9 +286,8 @@ def main(argv=None) -> int:
             p.add_argument("--bundle", default=None, help="trained model bundle")
     args = parser.parse_args(argv)
 
-    out = None
+    out = _OutputTracker(args.out)
     try:
-        out = _OutputTracker(args.out)
         if args.command == "render":
             cmd_render(args.map, out)
             return 0
@@ -307,13 +305,11 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
-        if out is not None:
-            out.cleanup()
+        out.cleanup()
         return 2
     except (RcbasinError, OSError, ValueError, BrokenProcessPool) as err:
         print(f"error: {err}", file=sys.stderr)
-        if out is not None:
-            out.cleanup()
+        out.cleanup()
         return 1
 
 

@@ -286,14 +286,14 @@ def _underflow(ic: np.ndarray) -> StepSizeUnderflowError:
                                   "the step size underflowed")
 
 
-def integrate_truth(cfg: ExperimentConfig, sys: SystemDef, ic: np.ndarray,
+def integrate_truth(cfg: ExperimentConfig, sys: SystemDef, ics: np.ndarray,
                     n_steps: int) -> np.ndarray:
-    """One truth trajectory of n_steps + 1 samples at the experiment step."""
-    ic = np.asarray(ic, dtype=float)
-    block, failed = _trajectories(cfg, sys, ic[None], n_steps)
-    if failed[0]:
-        raise _underflow(ic)
-    return block[0]
+    """The (m, n_steps + 1, dim) truth from the rows of ics; an underflow names its row."""
+    ics = np.asarray(ics, dtype=float)
+    block, failed = _trajectories(cfg, sys, ics, n_steps)
+    if failed.any():
+        raise _underflow(ics[np.argmax(failed)])
+    return block
 
 
 def label_trajectories(sys: SystemDef, crit: ConvergenceCriteria, block: np.ndarray,
@@ -337,9 +337,7 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray) -> tuple[np.n
     prefixes = np.empty((len(ics), cfg.n_test, len(cfg.observe)))
     for lo in range(0, len(ics), CELL_CHUNK):
         chunk = ics[lo:lo + CELL_CHUNK]
-        block, failed = _trajectories(cfg, sys, chunk, cfg.horizon - 1)
-        if failed.any():
-            raise _underflow(chunk[np.argmax(failed)])
+        block = integrate_truth(cfg, sys, chunk, cfg.horizon - 1)
         hi = lo + len(chunk)
         labels[lo:hi] = [label if isinstance(label, int) else -1
                          for label in label_trajectories(sys, crit, block, range(sys.dim))]
@@ -497,20 +495,29 @@ def check_model(cfg: ExperimentConfig, res: Reservoir) -> None:
                                      f"config observes {len(cfg.observe)}")
 
 
+def forecast_cells(cfg: ExperimentConfig, res: Reservoir, readout: Readout, ics: np.ndarray,
+                   keep_last: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truth labels, test prefixes and the last ``keep_last`` forecast samples of some cells.
+
+    The prefixes synchronize the reservoir and the closed loop runs to the horizon.  Pass
+    at most :data:`CELL_CHUNK` cells: the batch width sets the forecast's last bits.
+    """
+    labels, prefixes = truth_and_test_signals(cfg, ics)
+    states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefixes))
+    return labels, prefixes, run_closed_loop_batch(res, readout, states, cfg.horizon - cfg.n_test,
+                                                   keep_last=keep_last)
+
+
 def _map_chunk(cfg: ExperimentConfig, res: Reservoir, readout: Readout,
                ics_chunk: np.ndarray) -> tuple[np.ndarray, list[Label], np.ndarray]:
     """Truth labels, forecast labels and last observed test samples of one chunk.
 
-    The truth is integrated and labelled, its first ``n_test`` observed
-    samples synchronize the reservoir, the closed loop runs to the horizon
-    and its tail is labelled.  The system is rebuilt here because a
-    :class:`SystemDef` holds closures and cannot be sent to a worker.
+    The system is rebuilt here because a :class:`SystemDef` holds closures
+    and cannot be sent to a worker.
     """
     sys = system_from_config(cfg)
-    labels, prefixes = truth_and_test_signals(cfg, ics_chunk)
-    states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefixes))
-    tails = run_closed_loop_batch(res, readout, states, cfg.horizon - cfg.n_test,
-                                  keep_last=cfg.kl_tail if sys.chaotic else cfg.tail_len)
+    labels, prefixes, tails = forecast_cells(
+        cfg, res, readout, ics_chunk, keep_last=cfg.kl_tail if sys.chaotic else cfg.tail_len)
     predicted = label_trajectories(sys, criteria_from_config(cfg), tails, cfg.observe)
     return labels, predicted, prefixes[:, -1, :].copy()
 
@@ -569,12 +576,14 @@ def persist(basin_map: BasinMap, path) -> None:
 
 def load_basin_map(path) -> BasinMap:
     """Read a persisted map; metrics are recomputed from the cells."""
+    header, rows = read_table(path)
     meta = read_meta(path)
     if meta.get("schema") != _MAP_SCHEMA:
-        raise SchemaMismatchError(f"unexpected basin map schema {meta.get('schema')!r}")
-    header, rows = read_table(path)
+        raise SchemaMismatchError(f"{path}.meta: unexpected map schema {meta.get('schema')!r}")
+    if "resolution" not in meta:
+        raise SchemaMismatchError(f"{path}.meta: no resolution")
     if header != _MAP_HEADER:
-        raise SchemaMismatchError(f"unexpected basin map header {header!r}")
+        raise SchemaMismatchError(f"{path}: unexpected basin map header {header!r}")
 
     coords, truths, outcomes = [], [], []
     for c0, c1, truth, pred, category in rows:

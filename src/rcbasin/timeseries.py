@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroRangeError
+from .errors import DimensionMismatchError, SchemaMismatchError, ZeroRangeError
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,20 @@ def read_table(path) -> tuple[str, list[list[str]]]:
 
 
 def read_meta(path) -> dict:
-    """The ``<path>.meta`` sidecar of a :func:`write_table` CSV, values by ``literal_eval``."""
+    """The ``<path>.meta`` sidecar of a :func:`write_table` CSV, values by ``literal_eval``.
+
+    Raises :class:`SchemaMismatchError` naming the first line that is not ``key=literal``.
+    """
+    meta = {}
     with open(str(path) + ".meta", "r", encoding="ascii") as fh:
-        return {key: ast.literal_eval(value)
-                for key, _, value in (line.strip().partition("=") for line in fh)}
+        for line in fh:
+            key, _, value = line.strip().partition("=")
+            try:
+                meta[key] = ast.literal_eval(value)
+            except (ValueError, SyntaxError) as err:
+                raise SchemaMismatchError(
+                    f"{path}.meta: {line.strip()!r} is not a key=literal line") from err
+    return meta
 
 
 def write_csv(signal: TimeSeries, path) -> None:

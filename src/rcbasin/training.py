@@ -263,20 +263,23 @@ def save_model(path, res: Reservoir, readout: Readout) -> None:
 def load_model(path) -> tuple[Reservoir, Readout]:
     """Read a :func:`save_model` bundle; reloaded dynamics are bit-identical.
 
-    Raises :class:`SchemaMismatchError` unless it was written under this
-    module's model schema.
+    Raises :class:`SchemaMismatchError` unless it is a complete bundle
+    written under this module's model schema.
     """
-    with np.load(path, allow_pickle=False) as archive:
-        if str(archive["schema"]) != _MODEL_SCHEMA:
-            raise SchemaMismatchError(
-                f"unexpected archive schema {archive['schema']}; expected {_MODEL_SCHEMA}")
-        spec = ReservoirSpec(*(int(v) if f.type == "int" else float(v)
-                               for f, v in zip(fields(ReservoirSpec), archive["spec"])))
-        w_r = sparse.csr_matrix(
-            (archive["w_r_data"], archive["w_r_indices"], archive["w_r_indptr"]),
-            shape=(spec.n_r, spec.n_r),
-        )
-        res = Reservoir(w_r, archive["w_in"], archive["bias"], spec.leakage, spec=spec)
-        return res, Readout(w_out=archive["w_out"],
-                            standardizer=Standardizer(archive["shift"], archive["scale"]),
-                            n_fit=int(archive["n_fit"]))
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            if str(archive["schema"]) != _MODEL_SCHEMA:
+                raise SchemaMismatchError(
+                    f"unexpected archive schema {archive['schema']}; expected {_MODEL_SCHEMA}")
+            spec = ReservoirSpec(*(int(v) if f.type == "int" else float(v)
+                                   for f, v in zip(fields(ReservoirSpec), archive["spec"])))
+            w_r = sparse.csr_matrix(
+                (archive["w_r_data"], archive["w_r_indices"], archive["w_r_indptr"]),
+                shape=(spec.n_r, spec.n_r),
+            )
+            res = Reservoir(w_r, archive["w_in"], archive["bias"], spec.leakage, spec=spec)
+            return res, Readout(w_out=archive["w_out"],
+                                standardizer=Standardizer(archive["shift"], archive["scale"]),
+                                n_fit=int(archive["n_fit"]))
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise SchemaMismatchError(f"{path} is not a complete model bundle: {err}") from err

@@ -2,6 +2,8 @@ import hashlib
 import multiprocessing
 import os
 import re
+import shutil
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -89,6 +91,22 @@ test_half_width = 4
 """
 
 
+#: Adaptive truth: a window shorter than the horizon integrates a different
+#: step sequence, so only the map's own path gives the map's prefix.
+PENDULUM_CELL = """
+[system]
+name = magnetic_pendulum
+adaptive_truth = true
+
+[experiment]
+n_test = 20
+horizon = 300
+
+[predict]
+ic = 0.7, -0.4, 0, 0
+"""
+
+
 @pytest.fixture()
 def wells_ini(tmp_path):
     path = tmp_path / "wells.ini"
@@ -113,6 +131,18 @@ def printed_state(printed: str, prefix: str) -> np.ndarray:
     return np.array([float(tok) for tok in line[len(prefix):].split()])
 
 
+def frozen_bundle(path, n_in: int, w_out: float) -> str:
+    """A bundle of two leaky nodes that ignore their input and ramp toward
+    tanh(5), read out with ``w_out`` in every weight and no standardization."""
+    spec = ReservoirSpec(n_r=2, mean_degree=1.0, spectral_radius=0.0, input_strength=0.0,
+                         bias_strength=5.0, leakage=0.5, n_in=n_in, seed=0)
+    res = Reservoir(sparse.csr_matrix((2, 2)), np.zeros((2, n_in)), np.full(2, 5.0),
+                    spec.leakage, spec=spec)
+    save_model(path, res, Readout(w_out=np.full((n_in, 2), w_out),
+                                  standardizer=Standardizer.identity(n_in), n_fit=1))
+    return str(path)
+
+
 class TestConfigValidation:
     def test_missing_file(self, tmp_path, capsys):
         code = run(["simulate", "--config", str(tmp_path / "nope.ini"),
@@ -126,6 +156,18 @@ class TestConfigValidation:
         code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "[system] name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("ic = 1, 0\n", "config parse failure: File contains no section headers"),
+        ("[system]\nname = pendulum\n", "config does not validate: unknown system 'pendulum'"),
+    ], ids=["no-section", "unknown-system"])
+    def test_unreadable_config(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
 
     def test_unknown_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
@@ -172,6 +214,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "n_r" in err and "many" in err
         for section, key, value in [("simulate", "n_steps", "ten"),
+                                    ("training", "standardize_inputs", "maybe"),
                                     ("sweep", "realizations", "many"),
                                     ("sweep", "n_train", ""), ("sweep", "train_half_width", ""),
                                     ("sweep", "test_half_width", "")]:
@@ -260,6 +303,13 @@ class TestSimulate:
         # bare round-tripping numbers, not numpy scalar reprs
         assert printed_state(printed, "final state:").tobytes() == traj.values[-1].tobytes()
 
+    def test_unresolved_tail_printed(self, tmp_path, capsys):
+        # 31 samples from far above the barrier are still swinging between the wells
+        ini = tmp_path / "short.ini"
+        ini.write_text("[system]\nname = duffing\n[simulate]\nic = 0.0, 8.0\nn_steps = 30\n")
+        assert run(["simulate", "--config", str(ini), "--out", str(tmp_path / "sim")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "convergence label: unresolved"
+
     def test_repeatable_output(self, wells_ini, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run(["simulate", "--config", wells_ini, "--out", str(out1)]) == 0
@@ -301,16 +351,9 @@ class TestTrainPredict:
         assert printed.tobytes() == prediction.values[-1].tobytes()
 
     def test_predict_divergence_is_an_error(self, tmp_path, capsys):
-        # a frozen-input leaky pair ramping toward tanh(5): after one synchronizing
-        # sample the output 1e308 * (r_a + r_b) is finite for steps 0-2 and
-        # overflows at step 3
-        spec = ReservoirSpec(n_r=2, mean_degree=1.0, spectral_radius=0.0, input_strength=0.0,
-                             bias_strength=5.0, leakage=0.5, n_in=1, seed=0)
-        res = Reservoir(sparse.csr_matrix((2, 2)), np.zeros((2, 1)), np.full(2, 5.0),
-                        spec.leakage, spec=spec)
-        bundle = tmp_path / "diverging.npz"
-        save_model(bundle, res, Readout(w_out=np.full((1, 2), 1e308),
-                                        standardizer=Standardizer.identity(1), n_fit=1))
+        # after one synchronizing sample the output 1e308 * (r_a + r_b) of the
+        # frozen pair is finite for steps 0-2 and overflows at step 3
+        bundle = frozen_bundle(tmp_path / "diverging.npz", 1, 1e308)
         ini = tmp_path / "duffing.ini"
         ini.write_text("[system]\nname = duffing\n[experiment]\nn_test = 1\nhorizon = 40\n"
                        "[predict]\nic = 1.0, 0.0\n")
@@ -320,6 +363,20 @@ class TestTrainPredict:
         assert "error: closed-loop output became non-finite at step 3" in \
             capsys.readouterr().err
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("config", [PENDULUM_CELL,
+                                        DUFFING_TABLE + "[predict]\nic = 1.5, -0.5\n"],
+                             ids=["adaptive", "rk4"])
+    def test_test_signal_is_the_map_prefix(self, tmp_path, config):
+        ini = tmp_path / "cell.ini"
+        ini.write_text(config)
+        cfg, inputs = cli.read_config(str(ini))
+        bundle = frozen_bundle(tmp_path / "model.npz", len(cfg.observe), 0.0)
+        out = tmp_path / "pred"
+        assert run(["predict", "--config", str(ini), "--out", str(out), "--bundle", bundle]) == 0
+        ic = np.array(inputs[("predict", "ic")])
+        prefix = experiment.truth_and_test_signals(cfg, ic[None])[1][0]
+        assert read_csv(out / "test_signal.csv").values.tobytes() == prefix.tobytes()
 
     def test_predict_prints_map_label(self, tmp_path, capsys):
         ini = tmp_path / "duffing.ini"
@@ -410,7 +467,7 @@ class TestIndexInputs:
         out = tmp_path / "out"
         assert run([command, "--config", str(ini), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not list(out.glob("*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("experiment", "grid_axes", "0 5", "grid_axes [0, 5] must index"),
@@ -435,6 +492,19 @@ class TestIndexInputs:
         assert "the 2 state components of duffing" in err and "Traceback" not in err
         assert calls == []
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_ic_needs_every_component(self, tmp_path, capsys, command):
+        ini = tmp_path / "cell.ini"
+        ini.write_text(f"[system]\nname = duffing\n[{command}]\nic = 1.0, 0.0, 2.0\n"
+                       + ("n_steps = 50\n" if command == "simulate" else ""))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(ini), "--out", str(out),
+                    *(["--bundle", frozen_bundle(tmp_path / "model.npz", 1, 0.0)]
+                      if command == "predict" else [])]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: [{command}] ic needs 2 components, got 3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("system, ic", [("duffing", "1.0, 0.0"),
                                             ("multistable_lorenz", "1.0, 1.0, 1.0")])
@@ -589,6 +659,79 @@ class TestFailureCleanup:
                     "--parallel", "1"])
         assert code == 1
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+    def test_written_files_removed(self, wells_ini, tmp_path, capsys, monkeypatch, existing):
+        out = tmp_path / "map"
+        written = []
+
+        def failing_render(basin_map, path):
+            written.extend(sorted(p.name for p in out.glob("*")))
+            raise OSError("render failed")
+
+        monkeypatch.setattr(experiment, "render_basin_map", failing_render)
+        if existing:
+            out.mkdir()
+        assert run(["basin-map", "--config", wells_ini, "--out", str(out),
+                    "--parallel", "1"]) == 1
+        assert capsys.readouterr().err == "error: render failed\n"
+        assert written == ["basin_map.csv", "basin_map.csv.meta"]
+        # the directory goes too if this run created it
+        assert out.exists() == existing and not list(out.glob("*"))
+
+
+@pytest.fixture(scope="module")
+def wells_artifacts(tmp_path_factory):
+    """A persisted multi-well map and a bundle for the wells config."""
+    root = tmp_path_factory.mktemp("artifacts")
+    ini = root / "wells.ini"
+    ini.write_text(MINIMAL_WELLS)
+    assert run(["basin-map", "--config", str(ini), "--out", str(root / "map"),
+                "--parallel", "1"]) == 0
+    return str(ini), root / "map" / "basin_map.csv", frozen_bundle(root / "model.npz", 2, 0.0)
+
+
+class TestDamagedArtifacts:
+    """A damaged map or bundle ends the command with one error line naming the file."""
+
+    @pytest.mark.parametrize("damage", ["meta-without-resolution", "meta-line-not-literal",
+                                        "missing-map", "bundle-without-n_fit",
+                                        "truncated-bundle"])
+    def test_one_error_line(self, wells_artifacts, tmp_path, capsys, damage):
+        ini, map_csv, bundle = wells_artifacts
+        csv, meta, npz = tmp_path / "map.csv", tmp_path / "map.csv.meta", tmp_path / "model.npz"
+        shutil.copy(map_csv, csv)
+        shutil.copy(f"{map_csv}.meta", meta)
+        lines = meta.read_text().splitlines(keepends=True)
+        if damage == "meta-without-resolution":
+            meta.write_text("".join(ln for ln in lines if not ln.startswith("resolution=")))
+            named = f"{meta}: no resolution"
+        elif damage == "meta-line-not-literal":
+            meta.write_text("".join(lines) + "garbage\n")
+            named = f"{meta}: 'garbage' is not a key=literal line"
+        elif damage == "missing-map":
+            csv = tmp_path / "nope.csv"
+            named = f"'{csv}'"
+        elif damage == "bundle-without-n_fit":
+            with zipfile.ZipFile(bundle) as src, zipfile.ZipFile(npz, "w") as dst:
+                for info in src.infolist():
+                    if info.filename != "n_fit.npy":
+                        dst.writestr(info, src.read(info))
+            named = f"{npz} is not a complete model bundle"
+        else:
+            data = Path(bundle).read_bytes()
+            npz.write_bytes(data[:len(data) // 2])
+            named = f"{npz} is not a complete model bundle"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        if "bundle" in damage:
+            args = ["predict", "--config", ini, "--bundle", str(npz)]
+        else:
+            args = ["render", "--map", str(csv)]
+        assert run([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+        assert not out.exists()
 
 
 class TestDeadWorker:

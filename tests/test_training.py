@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rcbasin import reservoir as reservoir_mod
 from rcbasin import training as training_mod
@@ -181,6 +182,16 @@ class TestSolveReadout:
         acc.accumulate(np.array([[1.0, 0.0, 0.0]]), np.array([[1.0]]))
         with pytest.raises(SingularSystemError):
             solve_readout(acc, alpha=0.0)
+
+    def test_least_squares_when_factorization_fails(self):
+        # one pair: alpha * n_fit = 1e-300 vanishes beside rrt = [[1, 1], [1, 1]]
+        acc = NormalAccumulator(2, 1).accumulate(np.array([[1.0, 1.0]]), np.array([[2.0]]))
+        lhs = acc.rrt + 1e-300 * np.eye(2)
+        with pytest.raises(scipy.linalg.LinAlgError, match="not positive definite"):
+            scipy.linalg.cho_factor(lhs, lower=True, check_finite=False)
+        w = solve_readout(acc, alpha=1e-300)
+        assert np.array_equal(w, scipy.linalg.lstsq(lhs, acc.yrt.T)[0].T)
+        assert w == pytest.approx(np.array([[1.0, 1.0]]))
 
     def test_no_pairs_rejected(self):
         with pytest.raises(ValueError):
