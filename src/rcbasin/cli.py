@@ -155,9 +155,7 @@ class _OutputTracker:
             os.rmdir(self.out_dir)
 
 
-def _print_label(cfg, sys_def, values, components) -> None:
-    crit = experiment.criteria_from_config(cfg)
-    label = experiment.label_trajectories(sys_def, crit, values[None], components)[0]
+def _print_label(sys_def, label) -> None:
     if isinstance(label, int):
         print(f"converged to attractor {label} ({sys_def.attractors[label].label})")
     else:
@@ -168,9 +166,10 @@ def cmd_simulate(cfg, inputs: dict, out: _OutputTracker) -> None:
     ic = _require(inputs, "simulate", "ic")
     n_steps = _require(inputs, "simulate", "n_steps")
     sys_def = experiment.system_from_config(cfg)
+    crit = experiment.criteria_from_config(cfg)
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[simulate] ic needs {sys_def.dim} components, got {len(ic)}")
-    if not sys_def.chaotic and n_steps + 1 < cfg.tail_len:
+    if not sys_def.chaotic and n_steps + 1 < experiment.labelled_tail(sys_def, crit):
         raise ConfigError(f"[simulate] n_steps ({n_steps}) gives {n_steps + 1} samples, "
                           f"fewer than [criteria] tail_len ({cfg.tail_len}) to label")
     values = experiment.integrate_truth(cfg, sys_def, np.array([ic]), n_steps)[0]
@@ -179,7 +178,8 @@ def cmd_simulate(cfg, inputs: dict, out: _OutputTracker) -> None:
     print(f"wrote trajectory.csv ({series.n_samples} samples)")
     print("final state:", " ".join(repr(float(v)) for v in values[-1]))
     if not sys_def.chaotic:
-        _print_label(cfg, sys_def, values, range(sys_def.dim))
+        _print_label(sys_def, experiment.label_trajectories(sys_def, crit, values[None],
+                                                            range(sys_def.dim))[0])
 
 
 def cmd_train(cfg, out: _OutputTracker) -> None:
@@ -201,7 +201,8 @@ def cmd_predict(cfg, inputs: dict, out: _OutputTracker, bundle: str) -> None:
     if len(ic) != sys_def.dim:
         raise ConfigError(f"[predict] ic needs {sys_def.dim} components, got {len(ic)}")
     # the map's chunk path on a batch of one cell
-    _, (prefix,), (values,) = experiment.forecast_cells(cfg, res, readout, np.array([ic]))
+    (truth,), (label,), (prefix,), (values,) = experiment.forecast_cells(
+        cfg, res, readout, np.array([ic]))
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise NonFiniteError(
@@ -211,8 +212,9 @@ def cmd_predict(cfg, inputs: dict, out: _OutputTracker, bundle: str) -> None:
     print(f"wrote test_signal.csv ({cfg.n_test} samples) and "
           f"prediction.csv ({len(values)} samples)")
     print("final predicted state:", " ".join(repr(float(v)) for v in values[-1]))
-    if not sys_def.chaotic:
-        _print_label(cfg, sys_def, values, cfg.observe)
+    print("true basin:", f"{truth} ({sys_def.attractors[truth].label})" if truth >= 0
+          else "unresolved")
+    _print_label(sys_def, label)
 
 
 def _print_summary(basin_map) -> None:

@@ -220,6 +220,8 @@ def system_from_config(cfg: ExperimentConfig) -> SystemDef:
         raise DimensionMismatchError(
             f"components {list(cfg.observe)} and grid_axes {list(cfg.grid_axes)} must "
             f"index the {sys.dim} state components of {sys.name}")
+    if sys.chaotic and cfg.kl_threshold is None:
+        raise ValueError(f"{sys.name} is chaotic: its labels need [criteria] kl_threshold")
     return sys
 
 
@@ -310,6 +312,11 @@ def label_trajectories(sys: SystemDef, crit: ConvergenceCriteria, block: np.ndar
                                           components=components)
 
 
+def labelled_tail(sys: SystemDef, crit: ConvergenceCriteria) -> int:
+    """Trailing samples :func:`label_trajectories` reads from each trajectory."""
+    return crit.kl_tail if sys.chaotic else crit.tail_len
+
+
 def _run_jobs(fn, jobs: Sequence, parallel: int) -> list:
     """``[fn(job) for job in jobs]``, in worker processes when ``parallel > 1``.
 
@@ -385,7 +392,8 @@ def generate_training_set(cfg: ExperimentConfig,
     attempt cap (``max_attempt_factor * n_train``) is reached.  Raises
     :class:`InvalidWindowError` before the first draw if a restricted
     fixed-point system's ``reject_horizon`` is shorter than the training
-    signals it must supply.
+    signals it must supply, or if restricted candidates are shorter than
+    :func:`labelled_tail`.
     """
     if sys is None:
         sys = system_from_config(cfg)
@@ -396,15 +404,19 @@ def generate_training_set(cfg: ExperimentConfig,
             f"restrict_to_basin {basin} names no attractor: {sys.name} has "
             f"{len(sys.attractors)}")
     if basin is None or sys.chaotic:
-        n_steps = cfg.train_sig_len - 1
+        key, n_steps = "train_sig_len", cfg.train_sig_len - 1
     else:
-        n_steps = cfg.reject_horizon
+        key, n_steps = "reject_horizon", cfg.reject_horizon
         if n_steps < cfg.train_sig_len - 1:
             raise InvalidWindowError(
                 f"reject_horizon ({n_steps}) must be at least train_sig_len - 1 "
                 f"({cfg.train_sig_len - 1}): accepted trajectories supply the "
                 "training signals")
     crit = criteria_from_config(cfg)
+    if basin is not None and n_steps + 1 < (tail := labelled_tail(sys, crit)):
+        raise InvalidWindowError(
+            f"[experiment] {key} ({getattr(cfg, key)}) gives {n_steps + 1} samples, fewer "
+            f"than the {tail} that label a candidate")
 
     signals = np.empty((cfg.n_train, cfg.train_sig_len, len(cfg.observe)))
     accepted = 0
@@ -496,16 +508,19 @@ def check_model(cfg: ExperimentConfig, res: Reservoir) -> None:
 
 
 def forecast_cells(cfg: ExperimentConfig, res: Reservoir, readout: Readout, ics: np.ndarray,
-                   keep_last: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truth labels, test prefixes and the last ``keep_last`` forecast samples of some cells.
+                   keep_last: int | None = None
+                   ) -> tuple[np.ndarray, list[Label], np.ndarray, np.ndarray]:
+    """Truth and forecast labels, test prefixes and the last ``keep_last`` forecast samples.
 
     The prefixes synchronize the reservoir and the closed loop runs to the horizon.  Pass
     at most :data:`CELL_CHUNK` cells: the batch width sets the forecast's last bits.
     """
-    labels, prefixes = truth_and_test_signals(cfg, ics)
+    sys, crit = system_from_config(cfg), criteria_from_config(cfg)
+    truth, prefixes = truth_and_test_signals(cfg, ics)
     states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefixes))
-    return labels, prefixes, run_closed_loop_batch(res, readout, states, cfg.horizon - cfg.n_test,
-                                                   keep_last=keep_last)
+    forecasts = run_closed_loop_batch(res, readout, states, cfg.horizon - cfg.n_test,
+                                      keep_last=keep_last)
+    return truth, label_trajectories(sys, crit, forecasts, cfg.observe), prefixes, forecasts
 
 
 def _map_chunk(cfg: ExperimentConfig, res: Reservoir, readout: Readout,
@@ -515,11 +530,9 @@ def _map_chunk(cfg: ExperimentConfig, res: Reservoir, readout: Readout,
     The system is rebuilt here because a :class:`SystemDef` holds closures
     and cannot be sent to a worker.
     """
-    sys = system_from_config(cfg)
-    labels, prefixes, tails = forecast_cells(
-        cfg, res, readout, ics_chunk, keep_last=cfg.kl_tail if sys.chaotic else cfg.tail_len)
-    predicted = label_trajectories(sys, criteria_from_config(cfg), tails, cfg.observe)
-    return labels, predicted, prefixes[:, -1, :].copy()
+    tail = labelled_tail(system_from_config(cfg), criteria_from_config(cfg))
+    truth, predicted, prefixes, _ = forecast_cells(cfg, res, readout, ics_chunk, keep_last=tail)
+    return truth, predicted, prefixes[:, -1, :].copy()
 
 
 def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
@@ -586,10 +599,16 @@ def load_basin_map(path) -> BasinMap:
         raise SchemaMismatchError(f"{path}: unexpected basin map header {header!r}")
 
     coords, truths, outcomes = [], [], []
-    for c0, c1, truth, pred, category in rows:
-        coords.append((float(c0), float(c1)))
-        truths.append(int(truth))
-        outcomes.append(BasinOutcome(category, attractor=None if int(pred) < 0 else int(pred)))
+    for line, row in enumerate(rows, start=2):
+        try:
+            c0, c1, truth, pred, category = row
+            coords.append((float(c0), float(c1)))
+            truths.append(int(truth))
+            outcomes.append(BasinOutcome(category, attractor=None if int(pred) < 0 else int(pred)))
+        except ValueError as err:
+            raise SchemaMismatchError(f"{path}: line {line}: {err}") from err
+    if len(rows) != int(meta["resolution"]) ** 2:
+        raise SchemaMismatchError(f"{path}: {len(rows)} cells, not resolution^2")
     truths = np.array(truths, dtype=int)
     stamp = {key: meta[key] for key in ("config_hash", *_SEEDS) if key in meta}
     return BasinMap(coords=np.array(coords), true_labels=truths, outcomes=outcomes,

@@ -152,10 +152,20 @@ def write_table(path, header: str, rows, meta: dict | None = None) -> None:
                 fh.write(f"{key}={meta[key]!r}\n")
 
 
+def _ascii_lines(path) -> list[str]:
+    """The stripped lines of a file; a byte that is not ASCII raises
+    :class:`SchemaMismatchError` naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return [line.strip() for line in fh]
+    except UnicodeDecodeError as err:
+        raise SchemaMismatchError(f"{path}: {err}") from err
+
+
 def read_table(path) -> tuple[str, list[list[str]]]:
     """The header line and the cells of a :func:`write_table` CSV, as strings."""
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.readline().strip(), [line.strip().split(",") for line in fh]
+    header, *lines = _ascii_lines(path) or [""]
+    return header, [line.split(",") for line in lines]
 
 
 def read_meta(path) -> dict:
@@ -164,14 +174,12 @@ def read_meta(path) -> dict:
     Raises :class:`SchemaMismatchError` naming the first line that is not ``key=literal``.
     """
     meta = {}
-    with open(str(path) + ".meta", "r", encoding="ascii") as fh:
-        for line in fh:
-            key, _, value = line.strip().partition("=")
-            try:
-                meta[key] = ast.literal_eval(value)
-            except (ValueError, SyntaxError) as err:
-                raise SchemaMismatchError(
-                    f"{path}.meta: {line.strip()!r} is not a key=literal line") from err
+    for line in _ascii_lines(str(path) + ".meta"):
+        key, _, value = line.partition("=")
+        try:
+            meta[key] = ast.literal_eval(value)
+        except (ValueError, SyntaxError) as err:
+            raise SchemaMismatchError(f"{path}.meta: {line!r} is not a key=literal line") from err
     return meta
 
 

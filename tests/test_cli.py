@@ -73,6 +73,25 @@ horizon = 600
 n_test = 10
 """
 
+#: A 3x3 Lorenz map with one unresolved true cell, at (0, 0).
+LORENZ_CELLS = """
+[system]
+name = multistable_lorenz
+
+[reservoir]
+n_r = 50
+
+[experiment]
+restrict_to_basin = 0
+train_sig_len = 600
+resolution = 3
+n_test = 20
+horizon = 400
+
+[criteria]
+kl_tail = 100
+"""
+
 #: A sweep whose n_train = 0 cell fails and whose n_train = 2 cell runs.
 TINY_SWEEP = """
 [system]
@@ -129,6 +148,31 @@ def printed_state(printed: str, prefix: str) -> np.ndarray:
     """The numbers on the ``prefix`` line, which must be bare floats."""
     line = next(line for line in printed.splitlines() if line.startswith(prefix))
     return np.array([float(tok) for tok in line[len(prefix):].split()])
+
+
+def predict_every_map_cell(tmp_path, capsys, config: str):
+    """Train a bundle, map with it, then ``predict`` each cell with it.
+
+    Yields each map row's (true_label, pred_label, outcome) cells with the
+    last two lines ``predict`` printed for that cell.
+    """
+    ini = tmp_path / "cells.ini"
+    ini.write_text(config)
+    cfg, _ = cli.read_config(str(ini))
+    dim = experiment.system_from_config(cfg).dim
+    bundle = str(tmp_path / "model" / "model.npz")
+    assert run(["train", "--config", str(ini), "--out", str(tmp_path / "model")]) == 0
+    assert run(["basin-map", "--config", str(ini), "--out", str(tmp_path / "map"),
+                "--parallel", "1", "--bundle", bundle]) == 0
+    capsys.readouterr()
+    for cell in (tmp_path / "map" / "basin_map.csv").read_text().splitlines()[1:]:
+        c0, c1, *labels = cell.split(",")
+        ic = np.zeros(dim)
+        ic[list(cfg.grid_axes)] = float(c0), float(c1)
+        ini.write_text(config + f"[predict]\nic = {' '.join(str(float(v)) for v in ic)}\n")
+        assert run(["predict", "--config", str(ini), "--out", str(tmp_path / "p"),
+                    "--bundle", bundle]) == 0
+        yield labels, capsys.readouterr().out.splitlines()[-2:]
 
 
 def frozen_bundle(path, n_in: int, w_out: float) -> str:
@@ -379,21 +423,20 @@ class TestTrainPredict:
         assert read_csv(out / "test_signal.csv").values.tobytes() == prefix.tobytes()
 
     def test_predict_prints_map_label(self, tmp_path, capsys):
-        ini = tmp_path / "duffing.ini"
-        ini.write_text(DUFFING_FULL_STATE)
-        bundle = str(tmp_path / "model" / "model.npz")
-        run(["train", "--config", str(ini), "--out", str(tmp_path / "model")])
-        run(["basin-map", "--config", str(ini), "--out", str(tmp_path / "map"),
-             "--parallel", "1", "--bundle", bundle])
-        cells = (tmp_path / "map" / "basin_map.csv").read_text().splitlines()[1:]
-        capsys.readouterr()
-        for cell in cells[::5]:
-            c0, c1, _, pred, _ = cell.split(",")
-            ini.write_text(DUFFING_FULL_STATE + f"[predict]\nic = {c0}, {c1}\n")
-            assert run(["predict", "--config", str(ini), "--out", str(tmp_path / "p"),
-                        "--bundle", bundle]) == 0
-            last = capsys.readouterr().out.splitlines()[-1]
-            assert last.startswith(f"converged to attractor {pred} "), (cell, last)
+        truths = set()
+        for name, config in (("duffing", DUFFING_FULL_STATE), ("lorenz", LORENZ_CELLS)):
+            (tmp_path / name).mkdir()
+            for (truth, pred, outcome), printed in predict_every_map_cell(tmp_path / name,
+                                                                          capsys, config):
+                truths.add((name, truth))
+                true_line = ("true basin: unresolved" if truth == "-1"
+                             else f"true basin: {truth} (")
+                label_line = (f"convergence label: {outcome}" if pred == "-1"
+                              else f"converged to attractor {pred} (")
+                assert printed[0].startswith(true_line), (name, truth, printed)
+                assert printed[1].startswith(label_line), (name, pred, outcome, printed)
+        # both Lorenz basins and an unresolved Lorenz truth are among the cells
+        assert {("lorenz", "-1"), ("lorenz", "0"), ("lorenz", "1")} <= truths
 
     def test_predict_requires_bundle(self, wells_ini, tmp_path, capsys):
         code = run(["predict", "--config", wells_ini, "--out", str(tmp_path / "p")])
@@ -492,6 +535,22 @@ class TestIndexInputs:
         assert "the 2 state components of duffing" in err and "Traceback" not in err
         assert calls == []
         assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("command", ["train", "basin-map"])
+    def test_chaotic_system_needs_kl_threshold(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        for name in ("rk4_ensemble", "integrate_adaptive"):
+            monkeypatch.setattr(experiment, name, lambda *args, **kwargs: calls.append(args))
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[system]\nname = multistable_lorenz\n[reservoir]\nn_r = 50\n"
+                       "[experiment]\nresolution = 2\n[criteria]\nkl_threshold =\n")
+        out = tmp_path / "out"
+        flags = ["--parallel", "1"] if command == "basin-map" else []
+        assert run([command, "--config", str(ini), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == ("error: multistable_lorenz is chaotic: its labels "
+                                           "need [criteria] kl_threshold\n")
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "predict"])
     def test_ic_needs_every_component(self, tmp_path, capsys, command):
@@ -696,7 +755,8 @@ class TestDamagedArtifacts:
 
     @pytest.mark.parametrize("damage", ["meta-without-resolution", "meta-line-not-literal",
                                         "missing-map", "bundle-without-n_fit",
-                                        "truncated-bundle"])
+                                        "truncated-bundle", "short-row", "unparsable-cell",
+                                        "missing-row", "non-ascii-map", "non-ascii-meta"])
     def test_one_error_line(self, wells_artifacts, tmp_path, capsys, damage):
         ini, map_csv, bundle = wells_artifacts
         csv, meta, npz = tmp_path / "map.csv", tmp_path / "map.csv.meta", tmp_path / "model.npz"
@@ -712,6 +772,20 @@ class TestDamagedArtifacts:
         elif damage == "missing-map":
             csv = tmp_path / "nope.csv"
             named = f"'{csv}'"
+        elif damage in ("short-row", "unparsable-cell"):
+            rows = csv.read_text().splitlines(keepends=True)
+            cells = rows[3].rstrip("\n").split(",")
+            cells = cells[:4] if damage == "short-row" else ["x", *cells[1:]]
+            rows[3] = ",".join(cells) + "\n"
+            csv.write_text("".join(rows))
+            named = f"{csv}: line 4: "
+        elif damage == "missing-row":
+            csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:-1]))
+            named = f"{csv}: 24 cells, not resolution^2"
+        elif damage.startswith("non-ascii"):
+            damaged = csv if damage == "non-ascii-map" else meta
+            damaged.write_bytes(damaged.read_bytes() + "caf\u00e9\n".encode("latin-1"))
+            named = f"{damaged}: 'ascii' codec can't decode byte 0xe9"
         elif damage == "bundle-without-n_fit":
             with zipfile.ZipFile(bundle) as src, zipfile.ZipFile(npz, "w") as dst:
                 for info in src.infolist():

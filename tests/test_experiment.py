@@ -464,6 +464,23 @@ class TestSamplingWindow:
                 generate_training_set(cfg)
         assert calls == []
 
+    @pytest.mark.parametrize("system, override, message", [
+        ("multistable_lorenz", dict(train_sig_len=300),
+         r"^\[experiment\] train_sig_len \(300\) gives 300 samples, fewer than the 500 "),
+        ("duffing", dict(train_sig_len=10, reject_horizon=9),
+         r"^\[experiment\] reject_horizon \(9\) gives 10 samples, fewer than the 25 "),
+    ], ids=["lorenz", "duffing"])
+    def test_candidates_too_short_to_label_raise_before_any_integration(
+            self, monkeypatch, system, override, message):
+        calls = []
+        for name in ("rk4_ensemble", "integrate_adaptive"):
+            monkeypatch.setattr(experiment_mod, name,
+                                lambda *args, **kwargs: calls.append(args))
+        cfg = default_config(system, n_train=2, restrict_to_basin=0, **override)
+        with pytest.raises(InvalidWindowError, match=message):
+            generate_training_set(cfg)
+        assert calls == []
+
     def test_horizon_of_signal_length_suffices(self):
         cfg = default_config("duffing", n_train=2, restrict_to_basin=0,
                              reject_horizon=499)
