@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +62,11 @@ CELL_CHUNK = 512
 def _ini(section: str, default, key: str | None = None):
     """A config field set by ``key`` (the field name when omitted) in INI ``[section]``."""
     return field(default=default, metadata={"ini": (section, key)})
+
+
+def _check_finite(name: str, value) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +126,14 @@ class ExperimentConfig:
     seed_noise: int = _ini("seeds", 2, key="noise")
 
     def __post_init__(self):
+        for f in fields(self):
+            if "ini" in f.metadata:
+                section, key = f.metadata["ini"]
+                _check_finite(f"[{section}] {key or f.name}", getattr(self, f.name))
+        for key, value in self.system_params.items():
+            _check_finite(f"[system] {key}", value)
+        if self.dt <= 0:
+            raise ValueError(f"[system] dt must be positive, got {self.dt!r}")
         if self.resolution < 1:
             raise ValueError("resolution must be at least 1")
         if self.n_test < 1:
@@ -267,19 +281,27 @@ def make_grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return coords, _embed(cfg, system_from_config(cfg).dim, coords)
 
 
-def _trajectories(cfg: ExperimentConfig, sys: SystemDef, ics: np.ndarray,
-                  n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectories of n_steps + 1 samples from each row of ics, as one ensemble.
+def _trajectories(cfg: ExperimentConfig, sys: SystemDef, ics: np.ndarray, n_steps: int,
+                  head: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectories over n_steps steps from each row of ics, as one ensemble.
 
-    Returns the (m, n_steps + 1, dim) block and each row's failure flag.  A
-    failed adaptive row is NaN after its last sample; RK4 rows never fail.
+    Every sample is kept unless ``head`` is given; then only the first
+    ``head`` samples and the :func:`labelled_tail` are, since nothing else
+    is read.  Returns the (m, kept samples, dim) block and each row's
+    failure flag.  A failed adaptive row is NaN after its last sample; RK4
+    rows never fail.  Every step adds to the previous state, so a row that
+    turns non-finite stays so and its kept tail is not finite either.
     """
+    keep = None
+    if head is not None:
+        tail = labelled_tail(sys, criteria_from_config(cfg))
+        keep = np.r_[:min(head, n_steps + 1), max(head, n_steps + 1 - tail):n_steps + 1]
     if cfg.adaptive_truth:
         result = integrate_adaptive(sys, ics, t_end=n_steps * cfg.dt,
                                     rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                                    sample_dt=cfg.dt)
+                                    sample_dt=cfg.dt, keep=keep)
         return result.values.transpose(1, 0, 2), result.failed
-    block = rk4_ensemble(sys, ics, cfg.dt, n_steps).transpose(1, 0, 2)
+    block = rk4_ensemble(sys, ics, cfg.dt, n_steps, keep=keep).transpose(1, 0, 2)
     return block, np.zeros(len(ics), dtype=bool)
 
 
@@ -288,11 +310,15 @@ def _underflow(ic: np.ndarray) -> StepSizeUnderflowError:
                                   "the step size underflowed")
 
 
-def integrate_truth(cfg: ExperimentConfig, sys: SystemDef, ics: np.ndarray,
-                    n_steps: int) -> np.ndarray:
-    """The (m, n_steps + 1, dim) truth from the rows of ics; an underflow names its row."""
+def integrate_truth(cfg: ExperimentConfig, sys: SystemDef, ics: np.ndarray, n_steps: int,
+                    head: int | None = None) -> np.ndarray:
+    """The (m, n_steps + 1, dim) truth from the rows of ics; an underflow names its row.
+
+    With ``head``, only the first ``head`` samples and the labelled tail are
+    kept, as :func:`_trajectories` keeps them.
+    """
     ics = np.asarray(ics, dtype=float)
-    block, failed = _trajectories(cfg, sys, ics, n_steps)
+    block, failed = _trajectories(cfg, sys, ics, n_steps, head)
     if failed.any():
         raise _underflow(ics[np.argmax(failed)])
     return block
@@ -344,7 +370,7 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray) -> tuple[np.n
     prefixes = np.empty((len(ics), cfg.n_test, len(cfg.observe)))
     for lo in range(0, len(ics), CELL_CHUNK):
         chunk = ics[lo:lo + CELL_CHUNK]
-        block = integrate_truth(cfg, sys, chunk, cfg.horizon - 1)
+        block = integrate_truth(cfg, sys, chunk, cfg.horizon - 1, head=cfg.n_test)
         hi = lo + len(chunk)
         labels[lo:hi] = [label if isinstance(label, int) else -1
                          for label in label_trajectories(sys, crit, block, range(sys.dim))]
@@ -383,9 +409,10 @@ def generate_training_set(cfg: ExperimentConfig,
     acceptance, and afterwards the draws the acceptance rate so far expects,
     ``ceil(need * attempts / accepted)``, plus a ``_REJECT_BLOCK`` margin.
     Every block is clamped to :data:`CELL_CHUNK` and to the attempts left
-    under the cap, so one block holds at most ``CELL_CHUNK * (n_steps + 1)
-    * dim`` floats, where ``n_steps`` is the rejection horizon (or
-    ``train_sig_len - 1``).
+    under the cap.  A block keeps of each candidate only the first
+    ``train_sig_len`` samples and the :func:`labelled_tail`, so it holds at
+    most ``CELL_CHUNK * (train_sig_len + labelled_tail) * dim`` floats
+    however long the rejection horizon.
 
     Raises :class:`SamplingExhaustedError` before the first draw if
     ``restrict_to_basin`` names no attractor of the system, and once the
@@ -441,7 +468,7 @@ def generate_training_set(cfg: ExperimentConfig,
         coords = rng.uniform(-cfg.train_half_width, cfg.train_half_width,
                              size=(block, 2))
         ics = _embed(cfg, sys.dim, coords)
-        trajectories, failed = _trajectories(cfg, sys, ics, n_steps)
+        trajectories, failed = _trajectories(cfg, sys, ics, n_steps, cfg.train_sig_len)
         for ic, values, fail in zip(ics, trajectories, failed):
             attempts += 1
             if fail:

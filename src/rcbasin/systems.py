@@ -17,8 +17,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import root
 
 from .errors import NonFiniteError, StepSizeUnderflowError
 from .timeseries import TimeSeries
@@ -113,7 +111,11 @@ def duffing(f0: float = 0.0) -> SystemDef:
     def vf(state):
         state = np.asarray(state, dtype=float)
         x, y = state[..., 0], state[..., 1]
-        return np.stack([y, f0 + a * y - b * x - c * x**3], axis=-1)
+        # one result array: stacking the components costs more than computing them
+        out = np.empty(state.shape[:-1] + (2,))
+        out[..., 0] = y
+        out[..., 1] = f0 + a * y - b * x - c * x**3
+        return out
 
     def energy(state):
         state = np.asarray(state, dtype=float)
@@ -211,6 +213,8 @@ def _pendulum_equilibria() -> np.ndarray:
     A rest point has zero velocity and zero planar acceleration; the
     restoring term pulls it slightly off its magnet toward the origin.
     """
+    from scipy.optimize import root  # only the pendulum needs it
+
     def acceleration(xy):
         return _pendulum_field(np.concatenate([xy, [0.0, 0.0]]))[2:]
 
@@ -250,11 +254,11 @@ _LORENZ_KX = -(_LORENZ_A * _LORENZ_B) / (_LORENZ_A + _LORENZ_B)
 def _lorenz_field(state):
     state = np.asarray(state, dtype=float)
     x, y, z = state[..., 0], state[..., 1], state[..., 2]
-    return np.stack([
-        _LORENZ_KX * x - y * z + _LORENZ_C,
-        _LORENZ_A * y + x * z,
-        _LORENZ_B * z + x * y,
-    ], axis=-1)
+    out = np.empty(state.shape[:-1] + (3,))
+    out[..., 0] = _LORENZ_KX * x - y * z + _LORENZ_C
+    out[..., 1] = _LORENZ_A * y + x * z
+    out[..., 2] = _LORENZ_B * z + x * y
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -267,10 +271,10 @@ def _lorenz_references() -> tuple[np.ndarray, np.ndarray]:
     a single sign on each attractor, so the sign of z identifies the lobe.
     """
     seeds = np.array([(0.0, 1.0, 1.0), (0.0, 1.0, -1.0)])
-    out = rk4_ensemble(_lorenz_system_bare(), seeds, dt=0.02, n=10_000)
-    if not np.all(np.isfinite(out)):  # pragma: no cover
+    n = 10_000
+    tail = rk4_ensemble(_lorenz_system_bare(), seeds, dt=0.02, n=n, keep=range(n // 2, n + 1))
+    if not np.all(np.isfinite(tail)):  # pragma: no cover
         raise NonFiniteError("RK4 lobe references of multistable_lorenz overflowed")
-    tail = out[out.shape[0] // 2:]
     upper, lower = (np.ascontiguousarray(tail[:, i]) for i in range(2))
     if not (np.all(upper[:, 2] > 0) and np.all(lower[:, 2] < 0)):  # pragma: no cover
         raise RuntimeError("lobe references did not separate by z sign")
@@ -325,16 +329,30 @@ def make_system(name: str, **params) -> SystemDef:
 # Integrators
 # --------------------------------------------------------------------------
 
-def rk4_ensemble(sys: SystemDef, x0: np.ndarray, dt: float, n: int) -> np.ndarray:
+def _kept_samples(keep, n: int) -> np.ndarray:
+    """The sample indices ``keep`` names out of ``n + 1``; all of them when it is None."""
+    if keep is None:
+        return np.arange(n + 1)
+    kept = np.asarray(keep)
+    if (kept.ndim != 1 or not kept.size or kept.dtype.kind not in "iu"
+            or kept[0] < 0 or kept[-1] > n or np.any(np.diff(kept) <= 0)):
+        raise ValueError(f"keep must name increasing sample indices in [0, {n}]")
+    return kept
+
+
+def rk4_ensemble(sys: SystemDef, x0: np.ndarray, dt: float, n: int,
+                 keep: Sequence[int] | None = None) -> np.ndarray:
     """Classical fixed-step RK4 on a batch of initial conditions.
 
     Args:
         x0: Initial states, shape (m, dim) or (dim,).
-        n: Number of steps; the result holds n + 1 samples per run.
+        n: Number of steps; a run has n + 1 samples.
+        keep: Increasing indices of the samples to store; all n + 1 by
+            default.  The others are computed and dropped.
 
     Returns:
-        Array of shape (n + 1, m, dim); a single (dim,) start returns
-        (n + 1, 1, dim).
+        Array of shape (len(keep), m, dim); a single (dim,) start returns
+        (len(keep), 1, dim).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -342,17 +360,20 @@ def rk4_ensemble(sys: SystemDef, x0: np.ndarray, dt: float, n: int) -> np.ndarra
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    out = np.empty((n + 1,) + x.shape)
-    out[0] = x
+    rows = {k: i for i, k in enumerate(_kept_samples(keep, n).tolist())}
+    out = np.empty((len(rows),) + x.shape)
+    if 0 in rows:
+        out[rows[0]] = x
     f = sys.vector_field
     with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n):
+        for k in range(1, n + 1):
             k1 = f(x)
             k2 = f(x + (0.5 * dt) * k1)
             k3 = f(x + (0.5 * dt) * k2)
             k4 = f(x + dt * k3)
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[k + 1] = x
+            if k in rows:
+                out[rows[k]] = x
     return out
 
 
@@ -383,8 +404,9 @@ class AdaptiveEnsemble:
         return self.values.shape[0]
 
 
-# DOP853 tableau and step control, exactly as scipy.integrate.DOP853 has them.
-_N_STAGES = _dop.N_STAGES
+# DOP853 step control, exactly as scipy.integrate.DOP853 has it; the tableau
+# is read from scipy inside the integrator, so only adaptive runs import
+# scipy.integrate.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (7 + 1)
 
@@ -423,9 +445,9 @@ def _combine(K: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return np.matmul(K[:, :len(coefficients)].transpose(0, 2, 1), coefficients)
 
 
-def _dop853(f, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
+def _dop853(f, y0: np.ndarray, t_eval: np.ndarray, t_bound: float, rtol: float,
             atol: float) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's DOP853 on every row of ``y0`` at once, sampled at ``t_eval``.
+    """scipy's DOP853 to ``t_bound`` on every row of ``y0`` at once, sampled at ``t_eval``.
 
     Rows advance in lock step, each with its own time, step size, rejected
     flag and failure status, and leave the active set when they finish or
@@ -434,8 +456,9 @@ def _dop853(f, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
     over items laid out as scipy lays them out, and powers are scalar.
     Returns the (len(t_eval), m, dim) samples and the failure flags.
     """
+    from scipy.integrate._ivp import dop853_coefficients as _dop
+
     m, dim = y0.shape
-    t_bound = float(t_eval[-1])
     rtol = max(rtol, 100 * np.finfo(float).eps)
     out = np.full((len(t_eval), m, dim), np.nan)
     failed = np.zeros(m, dtype=bool)
@@ -475,10 +498,10 @@ def _dop853(f, y0: np.ndarray, t_eval: np.ndarray, rtol: float,
         h_abs = np.abs(h)
         K = np.empty((rows.size, _dop.N_STAGES_EXTENDED, dim))
         K[:, 0] = fy
-        for s in range(1, _N_STAGES):
+        for s in range(1, _dop.N_STAGES):
             K[:, s] = f(y + _combine(K, _dop.A[s, :s]) * h[:, None])
         y_new = y + h[:, None] * _combine(K, _dop.B)
-        K[:, _N_STAGES] = f_new = f(y_new)
+        K[:, _dop.N_STAGES] = f_new = f(y_new)
 
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err5 = _pow(_norm(_combine(K, _dop.E5) / scale), 2)
@@ -512,7 +535,9 @@ def _dense_samples(f, out, rows, K, t_old, h, y_old, y, f_new, t_eval, lo, hi) -
     ``K`` holds the step's 13 stages; the three extra stages and the
     interpolant are scipy's ``Dop853DenseOutput``, evaluated elementwise.
     """
-    for s, a in enumerate(_dop.A[_N_STAGES + 1:], start=_N_STAGES + 1):
+    from scipy.integrate._ivp import dop853_coefficients as _dop
+
+    for s, a in enumerate(_dop.A[_dop.N_STAGES + 1:], start=_dop.N_STAGES + 1):
         K[:, s] = f(y_old + _combine(K, a[:s]) * h[:, None])
     delta = y - y_old
     F = np.empty((rows.size, _dop.INTERPOLATOR_POWER, y.shape[1]))
@@ -535,7 +560,8 @@ def _dense_samples(f, out, rows, K, t_old, h, y_old, y, f_new, t_eval, lo, hi) -
 
 def integrate_adaptive(sys: SystemDef, x0: np.ndarray, t_end: float,
                        rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-                       sample_dt: float = 0.02) -> TimeSeries | AdaptiveEnsemble:
+                       sample_dt: float = 0.02,
+                       keep: Sequence[int] | None = None) -> TimeSeries | AdaptiveEnsemble:
     """Integrate with the adaptive 8th-order Runge-Kutta pair DOP853.
 
     Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.5, with scipy's step
@@ -547,6 +573,12 @@ def integrate_adaptive(sys: SystemDef, x0: np.ndarray, t_end: float,
     bit.  A single start, shape (dim,), is a batch of one: it returns a
     :class:`TimeSeries` and raises :class:`StepSizeUnderflowError` if its
     step size underflows.  Non-finite starts raise ``ValueError``.
+
+    ``keep`` names the grid samples a batch returns, as increasing indices
+    into the ``round(t_end / sample_dt) + 1`` grid times; all by default.
+    The steps do not depend on it, and dense output is evaluated only at the
+    kept times, which are the same floats, so every kept sample equals the
+    full grid's sample bit for bit.
     """
     if rel_tol <= 0.0 or abs_tol <= 0.0 or sample_dt <= 0.0:
         raise ValueError("tolerances and sample_dt must be positive")
@@ -556,14 +588,17 @@ def integrate_adaptive(sys: SystemDef, x0: np.ndarray, t_end: float,
     x = np.array(x0, dtype=float)
     single = x.ndim == 1
     if single:
+        if keep is not None:
+            raise ValueError("keep needs a batch of starts, shape (m, dim)")
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != sys.dim:
         raise ValueError(f"starts must have shape (dim,) or (m, dim) with dim {sys.dim}")
     if not np.isfinite(x).all():
         raise ValueError("all components of the initial states must be finite")
+    grid = sample_dt * np.arange(n + 1)
     with np.errstate(all="ignore"):
-        values, failed = _dop853(sys.vector_field, x, sample_dt * np.arange(n + 1),
-                                 rel_tol, abs_tol)
+        values, failed = _dop853(sys.vector_field, x, grid[_kept_samples(keep, n)],
+                                 float(grid[-1]), rel_tol, abs_tol)
     if not single:
         return AdaptiveEnsemble(values, failed)
     if failed[0]:

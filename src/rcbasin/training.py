@@ -133,18 +133,24 @@ def solve_readout(acc: NormalAccumulator, alpha: float) -> np.ndarray:
 
     Uses a symmetric positive-definite factorization; if it breaks down with
     alpha > 0 a pivoted least-squares solve takes over, and with alpha == 0
-    the breakdown is reported as :class:`SingularSystemError`.
+    the breakdown is reported as :class:`SingularSystemError`.  Beside
+    ``rrt`` it holds one n_r x n_r array: a Fortran-ordered copy, which
+    LAPACK factors in place.
     """
     if acc.n_fit < 1:
         raise ValueError("accumulator holds no fit pairs")
-    lhs = acc.rrt + (alpha * acc.n_fit) * np.eye(acc.rrt.shape[0])
+    ridge = alpha * acc.n_fit
+    lhs = np.array(acc.rrt, order="F")
+    lhs[np.diag_indices_from(lhs)] += ridge
     try:
-        cho = scipy.linalg.cho_factor(lhs, lower=True, check_finite=False)
+        cho = scipy.linalg.cho_factor(lhs, lower=True, overwrite_a=True, check_finite=False)
         return scipy.linalg.cho_solve(cho, acc.yrt.T, check_finite=False).T
     except scipy.linalg.LinAlgError as err:
         if alpha == 0.0:
             raise SingularSystemError(
                 "rrt is rank-deficient and alpha is zero") from err
+        # the failed factorization overwrote lhs
+        lhs = acc.rrt + ridge * np.eye(acc.rrt.shape[0])
         solution, *_ = scipy.linalg.lstsq(lhs, acc.yrt.T, check_finite=False)
         return solution.T
 

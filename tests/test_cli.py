@@ -301,6 +301,25 @@ class TestConfigValidation:
             capsys.readouterr().err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("experiment", "train_half_width", "nan", "[experiment] train_half_width must be finite"),
+        ("criteria", "eps_c", "nan", "[criteria] eps_c must be finite"),
+        ("system", "dt", "nan", "[system] dt must be finite"),
+        ("system", "dt", "0", "[system] dt must be positive"),
+        ("system", "f0", "nan", "[system] f0 must be finite"),
+    ], ids=["train_half_width-nan", "eps_c-nan", "dt-nan", "dt-0", "f0-nan"])
+    def test_non_finite_or_zero_step_rejected(self, tmp_path, capsys, section, key, value,
+                                              message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[system]\nname = duffing\n"
+                       + ("" if section == "system" else f"[{section}]\n") + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run(["basin-map", "--config", str(cfg), "--out", str(out),
+                    "--parallel", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config does not validate: {message}, got {float(value)!r}\n"
+        assert not out.exists()
+
 
 class TestFlags:
     """Each subcommand accepts only the flags it reads."""

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -41,7 +42,7 @@ from rcbasin.experiment import (
     write_sweep_csv,
 )
 from rcbasin.reservoir import build_reservoir, drive_open_loop_batch, run_closed_loop_batch
-from rcbasin.systems import AdaptiveEnsemble
+from rcbasin.systems import AdaptiveEnsemble, rk4_ensemble
 from rcbasin.timeseries import Standardizer, read_table
 from rcbasin.training import train
 def wells_config(**overrides):
@@ -185,8 +186,8 @@ class TestGenerateTrainingSet:
     def test_nonfinite_unrestricted_signal_raises(self, monkeypatch):
         trajectories = experiment_mod._trajectories
 
-        def blowing_up(cfg_, sys, ics, n_steps):
-            block, failed = trajectories(cfg_, sys, ics, n_steps)
+        def blowing_up(cfg_, sys, ics, n_steps, head):
+            block, failed = trajectories(cfg_, sys, ics, n_steps, head)
             block[1, -1, 0] = np.inf
             return block, failed
 
@@ -355,9 +356,9 @@ class TestNeedSizedBlocks:
         widths = []
         trajectories = experiment_mod._trajectories
 
-        def recording(cfg, sys, ics, n_steps):
+        def recording(cfg, sys, ics, n_steps, head):
             widths.append(len(ics))
-            return trajectories(cfg, sys, ics, n_steps)
+            return trajectories(cfg, sys, ics, n_steps, head)
 
         monkeypatch.setattr(experiment_mod, "_trajectories", recording)
         return widths
@@ -530,6 +531,56 @@ class TestAdaptiveTruthTasks:
         TestAdaptiveSamplingBlocks.failing_at(monkeypatch, 40)
         with pytest.raises(StepSizeUnderflowError):
             truth_and_test_signals(cfg, ics)
+
+
+def peak_bytes(fn, *args) -> int:
+    """Peak of the memory ``fn(*args)`` holds at once, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKeptWindows:
+    """Truth and rejection sampling keep only the prefix and the labelled tail."""
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "adaptive"])
+    def test_labels_and_prefixes_of_full_trajectories(self, adaptive):
+        cfg = default_config("duffing", adaptive_truth=adaptive, resolution=6, horizon=600,
+                             observe=(1,))
+        sys, crit = system_from_config(cfg), experiment_mod.criteria_from_config(cfg)
+        _, ics = make_grid(cfg)
+        full = experiment_mod.integrate_truth(cfg, sys, ics, cfg.horizon - 1)
+        assert full.shape == (len(ics), cfg.horizon, 2)
+        labels, prefixes = truth_and_test_signals(cfg, ics)
+        expected = [label if isinstance(label, int) else -1
+                    for label in experiment_mod.label_trajectories(sys, crit, full, range(2))]
+        assert labels.tolist() == expected
+        assert prefixes.tobytes() == full[:, :cfg.n_test, [1]].tobytes()
+
+    def test_overflow_partway_is_unresolved(self):
+        cfg = default_config("duffing", resolution=50)
+        ics = np.array([[583.0, 0.0], [2.0, -7.0]])
+        full = rk4_ensemble(system_from_config(cfg), ics, cfg.dt, cfg.horizon - 1)
+        # the first cell overflows between the kept prefix and the kept tail
+        first = np.flatnonzero(~np.isfinite(full[:, 0]).all(axis=1))[0]
+        assert cfg.n_test < first < cfg.horizon - cfg.tail_len
+        labels, prefixes = truth_and_test_signals(cfg, ics)
+        assert labels.tolist() == [-1, 0]
+        assert np.isfinite(prefixes).all()
+
+    def test_desk_chunk_memory(self):
+        # the desk map's settings; a chunk's whole truth is 512 x 2000 x 2 floats, 16.4 MB
+        cfg = default_config("duffing", resolution=50)
+        ics = make_grid(cfg)[1][:experiment_mod.CELL_CHUNK]
+        assert peak_bytes(truth_and_test_signals, cfg, ics) < 2e6
+
+    def test_rejection_block_memory(self):
+        # a whole candidate over the 4000-step rejection horizon is 64 kB
+        cfg = default_config("duffing", n_train=200, restrict_to_basin=0)
+        assert peak_bytes(generate_training_set, cfg) < 6e6
 
 
 class TestRunBasinExperiment:

@@ -1,3 +1,10 @@
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy
@@ -17,7 +24,19 @@ from rcbasin.systems import (
     rk4_ensemble,
     system_parameters,
 )
-from rcbasin.systems import _PEND_MAGNETS
+from rcbasin.systems import (
+    _DUFFING_A,
+    _DUFFING_B,
+    _DUFFING_C,
+    _LORENZ_A,
+    _LORENZ_B,
+    _LORENZ_C,
+    _LORENZ_KX,
+    _PEND_MAGNETS,
+    _lorenz_field,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def linear_decay(dim=1):
@@ -483,3 +502,113 @@ class TestMakeSystem:
     def test_chaotic_flag(self):
         assert multistable_lorenz().chaotic
         assert not any(s.chaotic for s in (duffing(), multi_well(), linear_decay()))
+
+
+def duffing_stack(state, f0):
+    x, y = state[..., 0], state[..., 1]
+    return np.stack([y, f0 + _DUFFING_A * y - _DUFFING_B * x - _DUFFING_C * x**3], axis=-1)
+
+
+def lorenz_stack(state):
+    x, y, z = state[..., 0], state[..., 1], state[..., 2]
+    return np.stack([_LORENZ_KX * x - y * z + _LORENZ_C, _LORENZ_A * y + x * z,
+                     _LORENZ_B * z + x * y], axis=-1)
+
+
+@pytest.mark.parametrize("field, formula, dim", [
+    (duffing().vector_field, lambda s: duffing_stack(s, 0.0), 2),
+    (duffing(0.3).vector_field, lambda s: duffing_stack(s, 0.3), 2),
+    (_lorenz_field, lorenz_stack, 3),
+], ids=["duffing", "forced-duffing", "lorenz"])
+def test_field_equals_stack_formula(field, formula, dim):
+    # every combination of signed zeros, infinities, NaN and plain values
+    values = (0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25)
+    states = np.array(list(itertools.product(values, repeat=dim)))
+    with np.errstate(all="ignore"):
+        for batch in (states, states.reshape(7, -1, dim), *states):
+            got, expected = field(batch), formula(batch)
+            assert got.shape == expected.shape == batch.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestKeptSamples:
+    """Integrators store only the samples ``keep`` names, each equal to the full run's."""
+
+    @pytest.mark.parametrize("sys, half_width, dt", [
+        (duffing(), 10.0, 0.01),
+        (multistable_lorenz(), 20.0, 0.02),
+    ], ids=["duffing", "multistable_lorenz"])
+    def test_rk4(self, sys, half_width, dt):
+        starts = TestEnsembleWidthInvariance.starts(sys, half_width, n=64)
+        full = rk4_ensemble(sys, starts, dt, 300)
+        assert not np.isfinite(full[-1]).all()  # the far rows overflow
+        for keep in ([0, 1, 2, 280, 300], np.r_[:10, 275:301], [300], range(301)):
+            kept = rk4_ensemble(sys, starts, dt, 300, keep=keep)
+            assert kept.tobytes() == full[list(keep)].tobytes()
+
+    @staticmethod
+    def assert_kept_rows(sys, starts, keeps, **kwargs):
+        full = integrate_adaptive(sys, starts, **kwargs)
+        for keep in keeps:
+            kept = integrate_adaptive(sys, starts, keep=keep, **kwargs)
+            assert kept.values.tobytes() == full.values[list(keep)].tobytes()
+            assert kept.failed.tolist() == full.failed.tolist()
+        return full
+
+    def test_dop853_pendulum(self):
+        starts = pendulum_plane(np.random.default_rng(13).uniform(-1.5, 1.5, size=(12, 2)))
+        starts[3, 0] = 1e300  # rejected until its step size underflows
+        full = self.assert_kept_rows(
+            magnetic_pendulum(), starts, ([0, 1, 2, 480, 500], np.r_[:10, 475:501], [500]),
+            t_end=10.0, rel_tol=1e-6, abs_tol=1e-8, sample_dt=0.02)
+        assert full.failed.tolist() == [i == 3 for i in range(12)]
+
+    def test_dop853_row_failing_partway(self):
+        # row 0 blows up after sample 10; the windows straddle its failure
+        starts = np.array([[1.0], [-1.0], [0.1], [0.3]])
+        full = self.assert_kept_rows(blow_up(), starts, ([0, 5, 10, 11, 20], [9, 10, 11], [20]),
+                                     t_end=2.0, sample_dt=0.1)
+        assert full.failed.tolist() == [True, False, False, False]
+
+    @pytest.mark.parametrize("keep", [[], [2, 1], [1, 1], [-1, 3], [0, 301], [0.0, 1.0]])
+    def test_invalid_keep_rejected(self, keep):
+        with pytest.raises(ValueError, match="keep"):
+            rk4_ensemble(duffing(), np.zeros((2, 2)), 0.01, 300, keep=keep)
+        with pytest.raises(ValueError, match="keep"):
+            integrate_adaptive(duffing(), np.ones((2, 2)), t_end=3.0, sample_dt=0.01, keep=keep)
+
+    def test_single_start_takes_no_keep(self):
+        with pytest.raises(ValueError, match="keep needs a batch"):
+            integrate_adaptive(duffing(), np.ones(2), t_end=1.0, sample_dt=0.01, keep=[0, 100])
+
+
+def test_integrators_imported_on_first_use():
+    # a fresh interpreter, as each CLI run and map worker is
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import rcbasin
+        import rcbasin.cli
+        from rcbasin.systems import integrate_adaptive, make_system
+
+        lazy = ("scipy.integrate", "scipy.optimize")
+        for name in ("duffing", "multi_well", "multistable_lorenz"):
+            make_system(name)
+        assert not any(name in sys.modules for name in lazy), "imported at start"
+        pendulum = make_system("magnetic_pendulum")
+        starts = np.array([[0.3, -0.2, 0.0, 0.0], [-0.8, 0.5, 0.1, 0.0]])
+        result = integrate_adaptive(pendulum, starts, t_end=2.0, rel_tol=1e-6, abs_tol=1e-8)
+        assert all(name in sys.modules for name in lazy), "not imported on use"
+
+        from scipy.integrate import solve_ivp
+        t_eval = 0.02 * np.arange(101)
+        for i, start in enumerate(starts):
+            sol = solve_ivp(lambda t, s: pendulum.vector_field(s), (0.0, t_eval[-1]), start,
+                            method="DOP853", t_eval=t_eval, rtol=1e-6, atol=1e-8)
+            assert result.values[:, i].tobytes() == sol.y.T.tobytes()
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

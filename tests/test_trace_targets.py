@@ -66,10 +66,10 @@ def test_sampling_counters_follow_blocks(monkeypatch):
     widths = []
     trajectories = rcbasin.experiment._trajectories
 
-    def recording(cfg_, sys, ics, n_steps):
+    def recording(cfg_, sys, ics, n_steps, head):
         if n_steps == cfg.reject_horizon:
             widths.append(len(ics))
-        return trajectories(cfg_, sys, ics, n_steps)
+        return trajectories(cfg_, sys, ics, n_steps, head)
 
     monkeypatch.setattr(rcbasin.experiment, "_trajectories", recording)
     run = tracer.Tracer("tier1")

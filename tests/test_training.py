@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -192,6 +194,21 @@ class TestSolveReadout:
         w = solve_readout(acc, alpha=1e-300)
         assert np.array_equal(w, scipy.linalg.lstsq(lhs, acc.yrt.T)[0].T)
         assert w == pytest.approx(np.array([[1.0, 1.0]]))
+
+    def test_holds_one_copy_of_rrt(self):
+        n_r = 500
+        rng = np.random.default_rng(0)
+        acc = NormalAccumulator(n_r, 2).accumulate(
+            np.tanh(rng.standard_normal((2 * n_r, n_r))), rng.standard_normal((2 * n_r, 2)))
+        expected = scipy.linalg.solve(acc.rrt + 1e-8 * acc.n_fit * np.eye(n_r), acc.yrt.T).T
+        tracemalloc.start()
+        try:
+            w = solve_readout(acc, alpha=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * acc.rrt.nbytes
+        assert w == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
     def test_no_pairs_rejected(self):
         with pytest.raises(ValueError):
