@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
 
+from rcbasin import systems
 from rcbasin.errors import NonFiniteError
 from rcbasin.systems import (
     CHAOTIC,
@@ -34,6 +36,9 @@ from rcbasin.systems import (
     _LORENZ_KX,
     _PEND_MAGNETS,
     _lorenz_field,
+    _lorenz_references,
+    _lorenz_rk4,
+    _lorenz_system_bare,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -228,9 +233,9 @@ class TestMultistableLorenz:
         assert np.allclose(sys.vector_field(np.zeros(3)), [18.1, 0.0, 0.0])
 
     def test_x_coefficient_sign_symbolic(self):
-        a, b = sympy.Rational(-10), sympy.Rational(-4)
+        a, b = Fraction(-10), Fraction(-4)
         coefficient = -(a * b) / (a + b)
-        assert coefficient == sympy.Rational(20, 7)
+        assert coefficient == Fraction(20, 7)
         sys = multistable_lorenz()
         probe = sys.vector_field(np.array([1.0, 0.0, 0.0]))
         assert probe[0] == pytest.approx(float(coefficient) + 18.1, abs=1e-12)
@@ -264,6 +269,51 @@ class TestMultistableLorenz:
             assert att.reference.shape == (5001, 3)
             assert np.array_equal(att.reference, serial[5000:])
             assert not att.reference.flags.writeable
+
+
+class TestLorenzFloatLoop:
+    """The lobe references integrate on Python floats, as ``rk4_ensemble`` would."""
+
+    def test_equals_ensemble_rows(self):
+        starts = TestEnsembleWidthInvariance.starts(multistable_lorenz(), 20.0, n=40)
+        starts[1:4] = [(np.inf, 0.0, 1.0), (np.nan, 1.0, 1.0), (-0.0, 0.0, -0.0)]
+        n = 3000
+        whole = rk4_ensemble(_lorenz_system_bare(), starts, 0.02, n)
+        assert not np.isfinite(whole[-1]).all()  # the far rows overflow
+        for i, start in enumerate(starts):
+            for kept in (n + 1, 1001, 1):
+                out = np.empty((kept, 3))
+                _lorenz_rk4(start, 0.02, n, out)
+                assert out.tobytes() == whole[n + 1 - kept:, i].tobytes(), (i, kept)
+
+    @staticmethod
+    def fresh_build():
+        """``multistable_lorenz()`` with the references rebuilt; the cache is cleared after."""
+        _lorenz_references.cache_clear()
+        try:
+            return multistable_lorenz()
+        finally:
+            _lorenz_references.cache_clear()
+
+    def test_builds_without_the_ensemble(self, monkeypatch):
+        expected = [a.reference.tobytes() for a in multistable_lorenz().attractors]
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the references ran rk4_ensemble")
+
+        monkeypatch.setattr(systems, "rk4_ensemble", no_ensemble)
+        built = self.fresh_build()
+        assert [a.reference.tobytes() for a in built.attractors] == expected
+
+    def test_build_memory(self):
+        multistable_lorenz()  # the first build's imports stay out of the peak
+        tracemalloc.start()
+        try:
+            self.fresh_build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.68e6
 
 
 class TestRk4:
