@@ -21,7 +21,7 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         out.cleanup()
         return 2
-    except (RcbasinError, OSError, ValueError, BrokenProcessPool) as err:
+    except (RcbasinError, OSError, ValueError, BrokenExecutor) as err:
         print(f"error: {err}", file=sys.stderr)
         out.cleanup()
         return 1

@@ -14,10 +14,10 @@ results are identical for any worker count.
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import Sequence
 
@@ -348,10 +348,12 @@ def _run_jobs(fn, jobs: Sequence, parallel: int) -> list:
 
     The pool starts no more workers than there are jobs.  Results come back
     in job order either way.  An exception raised by ``fn``, or a worker's
-    death, ends the whole run.
+    death, ends the whole run.  The pool class is looked up only here, so
+    serial runs never import ``multiprocessing``.
     """
     if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
+        workers = min(parallel, len(jobs))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
 

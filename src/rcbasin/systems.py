@@ -11,12 +11,15 @@ DOP853 whose every row is bit-identical to scipy's ``solve_ivp``.
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
+import os
 from dataclasses import InitVar, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy
 
 from .errors import NonFiniteError, StepSizeUnderflowError
 from .timeseries import TimeSeries
@@ -52,9 +55,14 @@ class AttractorDescriptor:
             name = "reference"
         else:
             raise ValueError(f"unknown attractor kind {self.kind!r}")
-        frozen = np.array(getattr(self, name), dtype=float)
-        frozen.flags.writeable = False
-        object.__setattr__(self, name, frozen)
+        value = owner = getattr(self, name)
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        # keep a float64 array only if it and every array it is a view of are read-only
+        if not (owner is None and type(value) is np.ndarray and value.dtype == np.float64):
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+        object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -207,31 +215,22 @@ def _pendulum_field(state):
     return out
 
 
-def _pendulum_equilibria() -> np.ndarray:
-    """Rest points of the pendulum, one root solve from above each magnet.
-
-    A rest point has zero velocity and zero planar acceleration; the
-    restoring term pulls it slightly off its magnet toward the origin.
-    """
-    from scipy.optimize import root  # only the pendulum needs it
-
-    def acceleration(xy):
-        return _pendulum_field(np.concatenate([xy, [0.0, 0.0]]))[2:]
-
-    eqs = np.zeros((3, 4))
-    for i, magnet in enumerate(_PEND_MAGNETS):
-        # the default tolerance stops with a residual near 1e-13
-        sol = root(acceleration, magnet, tol=1e-14)
-        if not sol.success:  # pragma: no cover
-            raise RuntimeError(f"pendulum rest point solve failed: {sol.message}")
-        eqs[i, :2] = sol.x
-    return eqs
+# Rest points: zero velocity and zero planar acceleration, each pulled
+# slightly off its magnet toward the origin by the restoring term.  These are
+# scipy.optimize.root's solutions from above each magnet at tol=1e-14, bit
+# for bit; a test solves them again.
+_PEND_EQUILIBRIA = np.array([
+    [0.5627868693888634, 0.0, 0.0, 0.0],
+    [-0.2813934346944317, -0.48738772580707046, 0.0, 0.0],
+    [-0.2813934346944317, 0.48738772580707046, 0.0, 0.0],
+])
+_PEND_EQUILIBRIA.flags.writeable = False
 
 
 def magnetic_pendulum() -> SystemDef:
     """Magnetic pendulum with three stable rest points and transient chaos."""
     attractors = tuple(AttractorDescriptor(FIXED_POINT, label, location=eq)
-                       for label, eq in zip(_PEND_LABELS, _pendulum_equilibria()))
+                       for label, eq in zip(_PEND_LABELS, _PEND_EQUILIBRIA))
     return SystemDef(
         name="magnetic_pendulum",
         dim=4,
@@ -441,11 +440,24 @@ class AdaptiveEnsemble:
         return self.values.shape[0]
 
 
-# DOP853 step control, exactly as scipy.integrate.DOP853 has it; the tableau
-# is read from scipy inside the integrator, so only adaptive runs import
-# scipy.integrate.
+# DOP853 step control, exactly as scipy.integrate.DOP853 has it.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (7 + 1)
+
+
+@lru_cache(maxsize=1)
+def _dop853_tableau():
+    """The installed scipy's DOP853 coefficient module, run from its file alone.
+
+    The file imports only numpy; importing ``scipy.integrate`` would also
+    load scipy's optimize, special, fft and spatial packages.
+    """
+    path = os.path.join(os.path.dirname(scipy.__file__), "integrate", "_ivp",
+                        "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("rcbasin._dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
@@ -493,7 +505,7 @@ def _dop853(f, y0: np.ndarray, t_eval: np.ndarray, t_bound: float, rtol: float,
     over items laid out as scipy lays them out, and powers are scalar.
     Returns the (len(t_eval), m, dim) samples and the failure flags.
     """
-    from scipy.integrate._ivp import dop853_coefficients as _dop
+    _dop = _dop853_tableau()
 
     m, dim = y0.shape
     rtol = max(rtol, 100 * np.finfo(float).eps)
@@ -572,7 +584,7 @@ def _dense_samples(f, out, rows, K, t_old, h, y_old, y, f_new, t_eval, lo, hi) -
     ``K`` holds the step's 13 stages; the three extra stages and the
     interpolant are scipy's ``Dop853DenseOutput``, evaluated elementwise.
     """
-    from scipy.integrate._ivp import dop853_coefficients as _dop
+    _dop = _dop853_tableau()
 
     for s, a in enumerate(_dop.A[_dop.N_STAGES + 1:], start=_dop.N_STAGES + 1):
         K[:, s] = f(y_old + _combine(K, a[:s]) * h[:, None])

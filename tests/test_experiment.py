@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
@@ -887,7 +888,7 @@ class TestSweep:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(experiment_mod, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         assert experiment_mod._run_jobs(abs, [-2, 3], parallel=6) == [2, 3]
         assert experiment_mod._run_jobs(abs, [-1, -2, -3], parallel=2) == [1, 2, 3]
         assert widths == [2, 2]

@@ -15,6 +15,7 @@ from rcbasin.errors import NonFiniteError
 from rcbasin.systems import (
     CHAOTIC,
     FIXED_POINT,
+    AttractorDescriptor,
     SystemDef,
     duffing,
     integrate_adaptive,
@@ -34,14 +35,17 @@ from rcbasin.systems import (
     _LORENZ_B,
     _LORENZ_C,
     _LORENZ_KX,
+    _PEND_EQUILIBRIA,
     _PEND_MAGNETS,
+    _dop853_tableau,
     _lorenz_field,
     _lorenz_references,
     _lorenz_rk4,
     _lorenz_system_bare,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def linear_decay(dim=1):
@@ -167,6 +171,25 @@ class TestPendulumEquilibria:
         first = magnetic_pendulum().attractor_locations()
         second = magnetic_pendulum().attractor_locations()
         assert np.array_equal(first.view(np.uint64), second.view(np.uint64))
+
+    def test_constants_are_the_root_solves(self):
+        from scipy.optimize import root
+
+        def acceleration(xy):
+            return systems._pendulum_field(np.concatenate([xy, [0.0, 0.0]]))[2:]
+
+        solved = np.zeros((3, 4))
+        for i, magnet in enumerate(_PEND_MAGNETS):
+            sol = root(acceleration, magnet, tol=1e-14)
+            assert sol.success
+            solved[i, :2] = sol.x
+        assert solved.tobytes() == _PEND_EQUILIBRIA.tobytes()
+
+    def test_constants_read_only_and_shared(self):
+        with pytest.raises(ValueError):
+            _PEND_EQUILIBRIA[0, 0] = 0.0
+        for attractor, eq in zip(magnetic_pendulum().attractors, _PEND_EQUILIBRIA):
+            assert np.shares_memory(attractor.location, eq)
 
 
 class TestPendulumFieldPaths:
@@ -314,6 +337,38 @@ class TestLorenzFloatLoop:
         finally:
             tracemalloc.stop()
         assert peak <= 0.68e6
+
+
+class TestAttractorDescriptor:
+    """A descriptor shares arrays that nothing can write and copies the rest."""
+
+    def test_lorenz_build_shares_the_cache(self):
+        for attractor, cached in zip(multistable_lorenz().attractors, _lorenz_references()):
+            assert np.shares_memory(attractor.reference, cached)
+
+    def test_lorenz_build_allocates_little(self):
+        multistable_lorenz()  # warm the reference cache
+        tracemalloc.start()
+        try:
+            multistable_lorenz()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e3
+
+    def test_writable_inputs_copied(self):
+        owner = np.array([1.0, 2.0])
+        read_only_view = owner[:]
+        read_only_view.flags.writeable = False
+        integers = np.array([3, 4])
+        integers.flags.writeable = False
+        built = [AttractorDescriptor(FIXED_POINT, "a", location=value)
+                 for value in (owner, read_only_view, [1.0, 2.0], integers)]
+        owner[0] = 5.0
+        for attractor, expected in zip(built, ([1.0, 2.0],) * 3 + ([3.0, 4.0],)):
+            assert attractor.location.dtype == np.float64
+            assert attractor.location.tolist() == expected
+            assert not attractor.location.flags.writeable
 
 
 class TestRk4:
@@ -632,23 +687,38 @@ class TestKeptSamples:
             integrate_adaptive(duffing(), np.ones(2), t_end=1.0, sample_dt=0.01, keep=[0, 100])
 
 
-def test_integrators_imported_on_first_use():
+def test_dop853_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as scipy_table
+
+    table = _dop853_tableau()
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        assert getattr(table, name).tobytes() == getattr(scipy_table, name).tobytes(), name
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+        assert getattr(table, name) == getattr(scipy_table, name), name
+
+
+def test_pendulum_path_loads_no_unused_modules(tmp_path):
     # a fresh interpreter, as each CLI run and map worker is
-    script = textwrap.dedent("""
+    config = ROOT / "perfbench" / "workloads" / "tiny_pendulum.ini"
+    script = textwrap.dedent(f"""
         import sys
         import numpy as np
         import rcbasin
         import rcbasin.cli
         from rcbasin.systems import integrate_adaptive, make_system
 
-        lazy = ("scipy.integrate", "scipy.optimize")
         for name in ("duffing", "multi_well", "multistable_lorenz"):
             make_system(name)
-        assert not any(name in sys.modules for name in lazy), "imported at start"
         pendulum = make_system("magnetic_pendulum")
         starts = np.array([[0.3, -0.2, 0.0, 0.0], [-0.8, 0.5, 0.1, 0.0]])
         result = integrate_adaptive(pendulum, starts, t_end=2.0, rel_tol=1e-6, abs_tol=1e-8)
-        assert all(name in sys.modules for name in lazy), "not imported on use"
+        code = rcbasin.cli.main(["basin-map", "--config", {str(config)!r}, "--parallel", "1",
+                                 "--out", {str(tmp_path)!r}])
+        assert code == 0, code
+        unused = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.fft",
+                  "scipy.spatial", "concurrent.futures.process")
+        loaded = [name for name in unused if name in sys.modules]
+        assert not loaded, loaded
 
         from scipy.integrate import solve_ivp
         t_eval = 0.02 * np.arange(101)
