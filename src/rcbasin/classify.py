@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateCloudError, DimensionMismatchError
 from .systems import CHAOTIC, FIXED_POINT, AttractorDescriptor, SystemDef
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, frozen
 
 #: Sentinel labels returned by the classifiers alongside attractor indices.
 SPURIOUS = "spurious"
@@ -270,7 +270,7 @@ def _reference_side(ref_bytes: bytes, shape: tuple[int, ...], n_samples: int,
     the result is memoized on its contents.  Returns ``(center, spread,
     draws, log_p_ref)``: everything :func:`kl_divergence` needs from the
     reference set alone.  The draws come from ``default_rng(0)``; the arrays
-    are read-only so that the cached result can be shared between calls.
+    are :func:`frozen` so that the cached result can be shared between calls.
     """
     ref = np.frombuffer(ref_bytes, dtype=float).reshape(shape)
     center = ref.mean(axis=0)
@@ -288,10 +288,7 @@ def _reference_side(ref_bytes: bytes, shape: tuple[int, ...], n_samples: int,
     draws = ref[picks] + rng.standard_normal((n_samples, ref.shape[1]))
     log_p_ref = _log_mixture_density_blocked(draws, ref)
     log_p_ref[~np.isfinite(log_p_ref)] = np.log(_DENSITY_FLOOR)
-    side = (center, spread, draws, log_p_ref)
-    for a in side:
-        a.flags.writeable = False
-    return side
+    return tuple(frozen(a) for a in (center, spread, draws, log_p_ref))
 
 
 def kl_divergence(ref_samples: np.ndarray, test_samples: np.ndarray,

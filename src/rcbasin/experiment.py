@@ -541,9 +541,11 @@ def forecast_cells(cfg: ExperimentConfig, res: Reservoir, readout: Readout, ics:
                    ) -> tuple[np.ndarray, list[Label], np.ndarray, np.ndarray]:
     """Truth and forecast labels, test prefixes and the last ``keep_last`` forecast samples.
 
-    The prefixes synchronize the reservoir and the closed loop runs to the horizon.  Pass
+    The prefixes synchronize the reservoir and the closed loop runs to the horizon.  Takes
     at most :data:`CELL_CHUNK` cells: the batch width sets the forecast's last bits.
     """
+    if len(ics) > CELL_CHUNK:
+        raise ValueError(f"at most CELL_CHUNK = {CELL_CHUNK} cells, got {len(ics)}")
     sys, crit = system_from_config(cfg), criteria_from_config(cfg)
     truth, prefixes = truth_and_test_signals(cfg, ics)
     states = drive_open_loop_batch(res, readout.standardizer.apply_values(prefixes))

@@ -22,6 +22,7 @@ from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .errors import DimensionMismatchError, SingularSpectrumError
+from .timeseries import frozen
 
 if TYPE_CHECKING:  # pragma: no cover
     from .training import Readout
@@ -81,15 +82,16 @@ class ReservoirSpec:
 class Reservoir:
     """Frozen weight triple (w_r, w_in, bias) plus the leakage rate.
 
-    Instances are immutable after construction and safe to share across
+    Instances are immutable after construction (the weights are
+    :func:`~rcbasin.timeseries.frozen` copies) and safe to share across
     parallel runs; every evolution owns its private state vector.
     """
 
     def __init__(self, w_r: sparse.csr_matrix, w_in: np.ndarray, bias: np.ndarray,
                  leakage: float, spec: ReservoirSpec | None = None):
         w_r = sparse.csr_matrix(w_r, dtype=float)
-        w_in = np.array(w_in, dtype=float)
-        bias = np.array(bias, dtype=float)
+        w_in = frozen(w_in)
+        bias = frozen(bias)
         n_r = w_r.shape[0]
         if w_r.shape != (n_r, n_r):
             raise DimensionMismatchError("w_r must be square")
@@ -97,9 +99,9 @@ class Reservoir:
             raise DimensionMismatchError("w_in must be (n_r, n_in)")
         if bias.shape != (n_r,):
             raise DimensionMismatchError("bias must be (n_r,)")
-        w_r.data.flags.writeable = False
-        w_in.flags.writeable = False
-        bias.flags.writeable = False
+        w_r.data = frozen(w_r.data)
+        w_r.indices = frozen(w_r.indices, w_r.indices.dtype)
+        w_r.indptr = frozen(w_r.indptr, w_r.indptr.dtype)
         self.w_r = w_r
         self.w_in = w_in
         self.bias = bias

@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from .errors import NonFiniteError, StepSizeUnderflowError
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, frozen
 
 FIXED_POINT = "fixed_point"
 CHAOTIC = "chaotic"
@@ -55,14 +55,7 @@ class AttractorDescriptor:
             name = "reference"
         else:
             raise ValueError(f"unknown attractor kind {self.kind!r}")
-        value = owner = getattr(self, name)
-        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
-            owner = owner.base
-        # keep a float64 array only if it and every array it is a view of are read-only
-        if not (owner is None and type(value) is np.ndarray and value.dtype == np.float64):
-            value = np.array(value, dtype=float)
-            value.flags.writeable = False
-        object.__setattr__(self, name, value)
+        object.__setattr__(self, name, frozen(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -184,7 +177,7 @@ def multi_well() -> SystemDef:
 _PEND_OMEGA0 = 0.5
 _PEND_GAMMA = 0.2
 _PEND_HEIGHT = 0.2
-_PEND_MAGNETS = np.array([
+_PEND_MAGNETS = frozen([
     [1.0 / np.sqrt(3.0), 0.0],
     [-0.5 / np.sqrt(3.0), -0.5],
     [-0.5 / np.sqrt(3.0), 0.5],
@@ -219,12 +212,11 @@ def _pendulum_field(state):
 # slightly off its magnet toward the origin by the restoring term.  These are
 # scipy.optimize.root's solutions from above each magnet at tol=1e-14, bit
 # for bit; a test solves them again.
-_PEND_EQUILIBRIA = np.array([
+_PEND_EQUILIBRIA = frozen([
     [0.5627868693888634, 0.0, 0.0, 0.0],
     [-0.2813934346944317, -0.48738772580707046, 0.0, 0.0],
     [-0.2813934346944317, 0.48738772580707046, 0.0, 0.0],
 ])
-_PEND_EQUILIBRIA.flags.writeable = False
 
 
 def magnetic_pendulum() -> SystemDef:
@@ -311,11 +303,9 @@ def _lorenz_references() -> tuple[np.ndarray, np.ndarray]:
         _lorenz_rk4(seed, 0.02, n, tail[:, i])
     if not np.all(np.isfinite(tail)):  # pragma: no cover
         raise NonFiniteError("RK4 lobe references of multistable_lorenz overflowed")
-    upper, lower = (np.ascontiguousarray(tail[:, i]) for i in range(2))
+    upper, lower = (frozen(tail[:, i]) for i in range(2))
     if not (np.all(upper[:, 2] > 0) and np.all(lower[:, 2] < 0)):  # pragma: no cover
         raise RuntimeError("lobe references did not separate by z sign")
-    upper.flags.writeable = False
-    lower.flags.writeable = False
     return upper, lower
 
 

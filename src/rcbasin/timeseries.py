@@ -6,6 +6,7 @@ the CLI writes.  Inside the pipeline signals are plain arrays.
 :class:`Standardizer` implements the shift/scale transform fitted on the
 union of the training samples (zero mean, unit maximum absolute value per
 component) and applies it to arrays of any leading shape.
+:func:`frozen` makes every array the package shares between callers, cells or runs.
 :func:`write_table` writes every CSV artifact: series, basin maps and sweeps;
 :func:`read_table` and :func:`read_meta` read them back.
 """
@@ -19,6 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, SchemaMismatchError, ZeroRangeError
+
+
+def frozen(values, dtype=float) -> np.ndarray:
+    """A C-ordered copy of ``values`` in an immutable ``bytes`` buffer: numpy
+    refuses ``flags.writeable = True`` on it and on every view of it."""
+    a = np.asarray(values, dtype=dtype)
+    return np.ndarray(a.shape, a.dtype, buffer=a.tobytes())
 
 
 @dataclass(frozen=True)
@@ -48,9 +56,7 @@ class TimeSeries:
             raise ValueError("time series contains non-finite values")
         if not (self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen(values))
 
     @property
     def n_samples(self) -> int:
@@ -82,16 +88,14 @@ class Standardizer:
     scale: np.ndarray
 
     def __post_init__(self):
-        shift = np.atleast_1d(np.asarray(self.shift, dtype=float)).copy()
-        scale = np.atleast_1d(np.asarray(self.scale, dtype=float)).copy()
+        shift = frozen(np.atleast_1d(self.shift))
+        scale = frozen(np.atleast_1d(self.scale))
         if shift.shape != scale.shape or shift.ndim != 1:
             raise DimensionMismatchError("shift and scale must be 1-d and equal length")
         if not np.all(np.isfinite(shift)) or not np.all(np.isfinite(scale)):
             raise ValueError("standardizer parameters must be finite")
         if np.any(scale <= 0.0):
             raise ZeroRangeError("scale components must be strictly positive")
-        shift.flags.writeable = False
-        scale.flags.writeable = False
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "scale", scale)
 

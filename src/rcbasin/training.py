@@ -36,7 +36,7 @@ from .errors import (
     TooShortError,
 )
 from .reservoir import Reservoir, ReservoirSpec, drive_open_loop
-from .timeseries import Standardizer, TimeSeries, fit_standardizer
+from .timeseries import Standardizer, TimeSeries, fit_standardizer, frozen
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,13 @@ class Readout:
     n_fit: int
 
     def __post_init__(self):
-        w_out = np.array(self.w_out, dtype=float)
+        w_out = frozen(self.w_out)
         if w_out.ndim != 2:
             raise DimensionMismatchError("w_out must be a matrix")
         if not np.all(np.isfinite(w_out)):
             raise ValueError("w_out contains non-finite entries")
         if self.n_fit < 1:
             raise ValueError("n_fit must be positive")
-        w_out.flags.writeable = False
         object.__setattr__(self, "w_out", w_out)
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -599,3 +600,25 @@ class TestBatchedClassifiers:
             classify_fixed_point(np.zeros((30, 2)), sys, DUFFING_CRIT)
         with pytest.raises(ValueError):
             classify_fixed_point(np.zeros((3, 10, 2)), sys, DUFFING_CRIT)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: ConvergenceCriteria(eps_c=0.1, tail_len=0), ValueError,
+                 "tail_len must be at least 1", id="tail_len"),
+    pytest.param(lambda: ConvergenceCriteria(eps_c=0.1, kl_tail=1), ValueError,
+                 "kl_tail must be at least 2", id="kl_tail"),
+    pytest.param(lambda: classify_fixed_point(np.zeros((1, 30, 2)), duffing(), DUFFING_CRIT,
+                                              components=(0,)),
+                 DimensionMismatchError, "components must match trajectory width",
+                 id="components"),
+    pytest.param(lambda: classify_chaotic(np.zeros((1, 600, 4)), magnetic_pendulum().attractors,
+                                          LORENZ_CRIT),
+                 ValueError, "references must be chaotic attractors", id="chaotic_refs"),
+    pytest.param(lambda: kl_divergence(np.zeros((1, 3)), np.ones((5, 3))), ValueError,
+                 "both sample sets need at least 2 points", id="kl_points"),
+    pytest.param(lambda: score([BasinOutcome(CORRECT, 0)], [0, 1]), DimensionMismatchError,
+                 "outcomes and truth must align", id="score_align"),
+])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import re
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
@@ -146,6 +147,24 @@ class TestMakeGrid:
         cfg = default_config("multistable_lorenz", resolution=3)
         _, ics = make_grid(cfg)
         assert np.all(ics[:, 0] == 0.0)
+
+    @pytest.mark.parametrize("system", ["magnetic_pendulum", "multistable_lorenz"])
+    def test_one_cell_at_the_origin(self, system):
+        coords, ics = make_grid(default_config(system, resolution=1))
+        assert coords.tolist() == [[0.0, 0.0]]
+        assert ics.shape == (1, system_from_config(default_config(system)).dim)
+        assert np.all(ics == 0.0)
+
+    def test_one_cell_map_persists_and_renders(self, tmp_path):
+        # its outcome is not pinned: the one truth cell of this config is unresolved
+        basin_map = run_basin_experiment(default_config("multi_well", resolution=1, n_r=50))
+        assert basin_map.coords.tolist() == [[0.0, 0.0]] and len(basin_map.outcomes) == 1
+        persist(basin_map, tmp_path / "map.csv")
+        loaded = load_basin_map(tmp_path / "map.csv")
+        assert loaded.resolution == 1 and loaded.outcomes == basin_map.outcomes
+        render_basin_map(loaded, tmp_path / "map.ppm")
+        data = (tmp_path / "map.ppm").read_bytes()
+        assert data.startswith(b"P6\n1 1\n255\n") and len(data.split(b"255\n", 1)[1]) == 3
 
 
 class TestGenerateTrainingSet:
@@ -732,6 +751,12 @@ class TestChunkPathIsTheHandPath:
         assert tails_cfg.tobytes() == tails.tobytes()
 
 
+    def test_at_most_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(experiment_mod, "CELL_CHUNK", 2)
+        with pytest.raises(ValueError, match=r"at most CELL_CHUNK = 2 cells, got 3"):
+            forecast_cells(wells_config(), None, None, np.zeros((3, 2)))
+
+
 class TestDuffingTruthStructure:
     def test_matches_stored_reference(self):
         # the two-basin spiral structure of the truth labels on the standard
@@ -920,3 +945,38 @@ class TestSweep:
         for row in rows:
             mean.setdefault((row.n_train, row.half_train), []).append(row.f_c)
         assert np.mean(mean[(10, 10.0)]) > np.mean(mean[(10, 4.0)])
+
+
+def one_cell_map(resolution=1):
+    outcomes = [BasinOutcome(CORRECT, 0)]
+    return BasinMap(coords=np.zeros((1, 2)), true_labels=np.zeros(1, int), outcomes=outcomes,
+                    resolution=resolution, metrics=score(outcomes, [0]),
+                    provenance={"schema": experiment_mod._MAP_SCHEMA})
+
+
+def load_with_header(path, header):
+    persist(one_cell_map(), path)
+    path.write_text(header + "\n" + path.read_text().split("\n", 1)[1])
+    return load_basin_map(path)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda tmp_path: wells_config(resolution=0), ValueError,
+                 "resolution must be at least 1", id="resolution"),
+    pytest.param(lambda tmp_path: wells_config(n_test=0), ValueError,
+                 "n_test must be at least 1", id="n_test"),
+    pytest.param(lambda tmp_path: wells_config(train_half_width=0.0), ValueError,
+                 "half widths must be positive", id="train_half_width"),
+    pytest.param(lambda tmp_path: wells_config(test_half_width=-1.0), ValueError,
+                 "half widths must be positive", id="test_half_width"),
+    pytest.param(lambda tmp_path: load_with_header(tmp_path / "map.csv", "x,y"),
+                 SchemaMismatchError, "unexpected basin map header 'x,y'", id="map_header"),
+    pytest.param(lambda tmp_path: render_basin_map(one_cell_map(resolution=2),
+                                                   tmp_path / "map.ppm"),
+                 ValueError, "outcome count does not match resolution^2", id="render_count"),
+    pytest.param(lambda tmp_path: run_sweep(wells_config(), [], [1.0], [1.0]), ValueError,
+                 "sweep axes must be non-empty", id="sweep_axes"),
+])
+def test_input_checks(call, error, fragment, tmp_path):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(tmp_path)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import sparse
 
 import rcbasin.reservoir as reservoir_mod
 
-from rcbasin.errors import DimensionMismatchError, SchemaMismatchError
+from rcbasin.errors import DimensionMismatchError, SchemaMismatchError, SingularSpectrumError
 from rcbasin.reservoir import (
     Reservoir,
     ReservoirSpec,
@@ -94,6 +95,22 @@ class TestBuild:
         assert np.array_equal(a.w_in, b.w_in)
         assert np.array_equal(a.bias, b.bias)
 
+    @staticmethod
+    def arpack_fails(*args, **kwargs):
+        raise sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty(0))
+
+    def test_radius_falls_back_to_dense(self, monkeypatch):
+        w = sparse.csr_matrix(np.diag([0.5, -3.0, 1.0, 2.0]))
+        monkeypatch.setattr(reservoir_mod.splinalg, "eigs", self.arpack_fails)
+        assert estimate_spectral_radius(w) == 3.0
+        monkeypatch.setattr(reservoir_mod, "DENSE_EIG_MAX", 3)
+        with pytest.raises(sparse.linalg.ArpackNoConvergence):
+            estimate_spectral_radius(w)
+
+    def test_zero_spectrum_rejected(self):
+        with pytest.raises(SingularSpectrumError, match=r"spectral radius 0\.000e\+00"):
+            build_reservoir(small_spec(n_r=3, mean_degree=1e-6))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_radius_vs_dense_eigensolve(self, seed):
         res = build_reservoir(small_spec(n_r=200, mean_degree=10.0, seed=seed))
@@ -106,6 +123,13 @@ class TestBuild:
             res.w_in[0, 0] = 1.0
         with pytest.raises(ValueError):
             res.w_r.data[0] = 1.0
+
+    def test_caller_matrix_not_shared(self):
+        w = sparse.random(20, 20, density=0.2, format="csr", random_state=0)
+        res = Reservoir(w, np.ones((20, 1)), np.zeros(20), 1.0)
+        before = res.w_r.toarray()
+        w.data[:] = 7.0
+        assert np.array_equal(res.w_r.toarray(), before)
 
 
 class TestDriveOpenLoop:
@@ -596,3 +620,28 @@ class TestBlockedBuild:
             assert_same_bytes(getattr(blocked.w_r, name), getattr(dense.w_r, name))
         assert_same_bytes(blocked.w_in, dense.w_in)
         assert_same_bytes(blocked.bias, dense.bias)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: small_spec(input_strength=-1.0), ValueError,
+                 "strength ranges must be non-negative", id="input_strength"),
+    pytest.param(lambda: small_spec(bias_strength=-1.0), ValueError,
+                 "strength ranges must be non-negative", id="bias_strength"),
+    pytest.param(lambda: small_spec(n_in=0), ValueError, "n_in must be at least 1", id="n_in"),
+    pytest.param(lambda: Reservoir(sparse.csr_matrix((2, 3)), np.ones((2, 1)), np.zeros(2), 1.0),
+                 DimensionMismatchError, "w_r must be square", id="w_r_square"),
+    pytest.param(lambda: hand_reservoir(np.eye(2), np.ones(2), np.zeros(2)),
+                 DimensionMismatchError, "w_in must be (n_r, n_in)", id="w_in_ndim"),
+    pytest.param(lambda: hand_reservoir(np.eye(2), np.ones((3, 1)), np.zeros(2)),
+                 DimensionMismatchError, "w_in must be (n_r, n_in)", id="w_in_rows"),
+    pytest.param(lambda: hand_reservoir(np.eye(2), np.ones((2, 1)), np.zeros(3)),
+                 DimensionMismatchError, "bias must be (n_r,)", id="bias"),
+    pytest.param(lambda: run_closed_loop_batch(hand_reservoir(np.eye(2), np.ones((2, 1)),
+                                                              np.zeros(2)),
+                                               identity_readout(np.ones((1, 2)), 1),
+                                               np.zeros((1, 2)), 0),
+                 ValueError, "n_steps must be at least 1", id="closed_loop_steps"),
+])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

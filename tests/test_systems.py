@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -185,11 +186,12 @@ class TestPendulumEquilibria:
             solved[i, :2] = sol.x
         assert solved.tobytes() == _PEND_EQUILIBRIA.tobytes()
 
-    def test_constants_read_only_and_shared(self):
+    def test_constants_read_only_and_copied(self):
         with pytest.raises(ValueError):
             _PEND_EQUILIBRIA[0, 0] = 0.0
         for attractor, eq in zip(magnetic_pendulum().attractors, _PEND_EQUILIBRIA):
-            assert np.shares_memory(attractor.location, eq)
+            assert attractor.location.tobytes() == eq.tobytes()
+            assert not np.shares_memory(attractor.location, eq)
 
 
 class TestPendulumFieldPaths:
@@ -340,21 +342,33 @@ class TestLorenzFloatLoop:
 
 
 class TestAttractorDescriptor:
-    """A descriptor shares arrays that nothing can write and copies the rest."""
+    """A descriptor holds a frozen copy of its array, whatever it was given."""
 
-    def test_lorenz_build_shares_the_cache(self):
+    def test_lorenz_build_copies_the_cache(self):
         for attractor, cached in zip(multistable_lorenz().attractors, _lorenz_references()):
-            assert np.shares_memory(attractor.reference, cached)
+            assert attractor.reference.tobytes() == cached.tobytes()
+            assert not np.shares_memory(attractor.reference, cached)
 
-    def test_lorenz_build_allocates_little(self):
-        multistable_lorenz()  # warm the reference cache
+    def test_lorenz_build_copies_each_lobe_once(self):
+        lobes = sum(cached.nbytes for cached in _lorenz_references())  # warm the cache
         tracemalloc.start()
         try:
             multistable_lorenz()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10e3
+        assert peak < lobes + 10e3
+
+    def test_holder_cannot_unfreeze_the_input(self):
+        a = np.zeros(4)
+        a.flags.writeable = False
+        built = AttractorDescriptor(FIXED_POINT, "x", location=a)
+        a.flags.writeable = True
+        a[0] = 1.0
+        assert built.location.tolist() == [0.0] * 4
+        for view in (built.location, built.location[1:]):
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
 
     def test_writable_inputs_copied(self):
         owner = np.array([1.0, 2.0])
@@ -732,3 +746,31 @@ def test_pendulum_path_loads_no_unused_modules(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: AttractorDescriptor(FIXED_POINT, "a"), ValueError,
+                 "fixed-point attractor needs a location", id="no_location"),
+    pytest.param(lambda: AttractorDescriptor(CHAOTIC, "a"), ValueError,
+                 "chaotic attractor needs a reference of >= 500 samples", id="no_reference"),
+    pytest.param(lambda: AttractorDescriptor(CHAOTIC, "a", reference=np.zeros((499, 3))),
+                 ValueError, "chaotic attractor needs a reference of >= 500 samples",
+                 id="short_reference"),
+    pytest.param(lambda: AttractorDescriptor("cycle", "a", location=[0.0]), ValueError,
+                 "unknown attractor kind 'cycle'", id="kind"),
+    pytest.param(lambda: rk4_ensemble(duffing(), np.zeros(2), 0.0, 5), ValueError,
+                 "dt must be positive", id="rk4_dt"),
+    pytest.param(lambda: integrate_adaptive(duffing(), np.zeros(2), 1.0, rel_tol=0.0),
+                 ValueError, "tolerances and sample_dt must be positive", id="rel_tol"),
+    pytest.param(lambda: integrate_adaptive(duffing(), np.zeros(2), 1.0, abs_tol=-1.0),
+                 ValueError, "tolerances and sample_dt must be positive", id="abs_tol"),
+    pytest.param(lambda: integrate_adaptive(duffing(), np.zeros(2), 1.0, sample_dt=0.0),
+                 ValueError, "tolerances and sample_dt must be positive", id="sample_dt"),
+    pytest.param(lambda: integrate_adaptive(duffing(), np.zeros(2), 0.005), ValueError,
+                 "t_end must cover at least one sample interval", id="t_end"),
+    pytest.param(lambda: integrate_adaptive(duffing(), np.zeros((2, 3)), 1.0), ValueError,
+                 "starts must have shape (dim,) or (m, dim) with dim 2", id="start_shape"),
+])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

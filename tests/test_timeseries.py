@@ -1,18 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 
 import rcbasin.training as training_mod
 
+from rcbasin import systems
+from rcbasin.classify import _reference_side
 from rcbasin.errors import DimensionMismatchError, ZeroRangeError
 from rcbasin.reservoir import ReservoirSpec, build_reservoir, drive_open_loop
 from rcbasin.timeseries import (
     Standardizer,
     TimeSeries,
     fit_standardizer,
+    frozen,
     read_table,
     write_csv,
 )
-from rcbasin.training import TrainConfig, train_with_mse
+from rcbasin.training import Readout, TrainConfig, train_with_mse
 
 
 def series(values, dt=0.1):
@@ -84,6 +89,54 @@ class TestTimeSeries:
     def test_observe(self):
         ts = TimeSeries(np.arange(8.0).reshape(4, 2), dt=0.1)
         assert ts.observe([1]).values[:, 0] == pytest.approx([1.0, 3.0, 5.0, 7.0])
+
+
+def shared_arrays():
+    """Every array the package shares, by name: one of each kind it holds."""
+    res = build_reservoir(ReservoirSpec(n_r=20, mean_degree=3.0, spectral_radius=0.9,
+                                        input_strength=1.0, bias_strength=1.0,
+                                        leakage=1.0, n_in=1, seed=0))
+    standardizer = Standardizer([0.0, 1.0], [1.0, 2.0])
+    upper, lower = systems._lorenz_references()
+    side = _reference_side(upper.tobytes(), upper.shape, 100, 0.0)
+    return {
+        "TimeSeries.values": TimeSeries([[1.0, 2.0]], dt=0.1).values,
+        "Standardizer.shift": standardizer.shift,
+        "Standardizer.scale": standardizer.scale,
+        "Readout.w_out": Readout(np.ones((1, 20)), Standardizer.identity(1), 1).w_out,
+        "Reservoir.w_in": res.w_in,
+        "Reservoir.bias": res.bias,
+        "Reservoir.w_r.data": res.w_r.data,
+        "Reservoir.w_r.indices": res.w_r.indices,
+        "Reservoir.w_r.indptr": res.w_r.indptr,
+        "descriptor.location": systems.magnetic_pendulum().attractors[0].location,
+        "descriptor.reference": systems.multistable_lorenz().attractors[0].reference,
+        "_PEND_EQUILIBRIA": systems._PEND_EQUILIBRIA,
+        "_PEND_MAGNETS": systems._PEND_MAGNETS,
+        "lorenz upper lobe": upper,
+        "lorenz lower lobe": lower,
+        **{f"_reference_side[{i}]": a for i, a in enumerate(side)},
+    }
+
+
+class TestFrozen:
+    """Shared arrays are frozen copies: no holder can make one, or a view of it, writable."""
+
+    def test_copy(self):
+        source = np.arange(6.0).reshape(2, 3).T
+        out = frozen(source)
+        assert out.flags.c_contiguous and np.array_equal(out, source)
+        source[0, 0] = 9.0
+        assert out[0, 0] == 0.0
+        assert frozen(2).shape == () and frozen(2).dtype == np.float64
+        assert frozen([1, 2], np.int32).dtype == np.int32
+
+    @pytest.mark.parametrize("name", sorted(shared_arrays()))
+    def test_cannot_be_unfrozen(self, name):
+        array = shared_arrays()[name]
+        for view in (array, array[...], array.reshape(-1)[::-1]):
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
 
 
 class TestFitStandardizer:
@@ -232,3 +285,18 @@ class TestCsv:
         path = tmp_path / "signal.csv"
         write_csv(TimeSeries(np.zeros((2, 2)), 0.1), path)
         assert path.read_text().splitlines()[0] == "t,u0,u1"
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: Standardizer([0.0, 1.0], [1.0]), DimensionMismatchError,
+                 "shift and scale must be 1-d and equal length", id="lengths"),
+    pytest.param(lambda: Standardizer(np.zeros((2, 2)), np.ones((2, 2))), DimensionMismatchError,
+                 "shift and scale must be 1-d and equal length", id="two_dim"),
+    pytest.param(lambda: Standardizer([np.nan], [1.0]), ValueError,
+                 "standardizer parameters must be finite", id="finite"),
+    pytest.param(lambda: Standardizer.identity(2).apply_values(np.zeros(3)),
+                 DimensionMismatchError, "expected 2 components, got 3", id="apply_width"),
+])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from rcbasin.errors import (
     SingularSystemError,
     TooShortError,
 )
-from rcbasin.reservoir import ReservoirSpec, build_reservoir
+from rcbasin.reservoir import Reservoir, ReservoirSpec, build_reservoir
 from rcbasin.systems import duffing, integrate_rk4
 from rcbasin.timeseries import Standardizer, TimeSeries
 from rcbasin.training import (
@@ -337,3 +338,31 @@ class TestModelBundle:
         with pytest.raises(ValueError):
             Readout(w_out=np.array([[np.inf]]), standardizer=Standardizer.identity(1),
                     n_fit=1)
+
+
+def unspecified_reservoir():
+    res = small_reservoir(n_r=10)
+    return Reservoir(res.w_r, res.w_in, res.bias, res.leakage)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: TrainConfig(n_trans=-1), ValueError,
+                 "n_trans must be non-negative", id="n_trans"),
+    pytest.param(lambda: TrainConfig(alpha=-1.0), ValueError,
+                 "alpha must be non-negative", id="alpha"),
+    pytest.param(lambda: TrainConfig(batch_max_states=0), ValueError,
+                 "batch_max_states must be at least 1", id="batch_max_states"),
+    pytest.param(lambda: Readout(np.ones(3), Standardizer.identity(1), 1), DimensionMismatchError,
+                 "w_out must be a matrix", id="w_out_ndim"),
+    pytest.param(lambda: Readout(np.ones((1, 3)), Standardizer.identity(1), 0), ValueError,
+                 "n_fit must be positive", id="n_fit"),
+    pytest.param(lambda: train(small_reservoir(n_r=10), [], TrainConfig()), ValueError,
+                 "need at least one training signal", id="no_signals"),
+    pytest.param(lambda: save_model("unused.npz", unspecified_reservoir(),
+                                    Readout(np.ones((1, 10)), Standardizer.identity(1), 1)),
+                 ValueError, "only reservoirs built from a ReservoirSpec can be saved",
+                 id="save_without_spec"),
+])
+def test_input_checks(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
