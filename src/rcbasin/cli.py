@@ -293,6 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = _OutputTracker(args.out)
+    cfg = None
     try:
         if args.command == "render":
             report = cmd_render(args.map, out)
@@ -314,6 +315,13 @@ def main(argv=None) -> int:
         return 2
     except (RcbasinError, OSError, ValueError, BrokenExecutor) as err:
         print(f"error: {err}", file=sys.stderr)
+        out.cleanup()
+        return 1
+    except MemoryError:
+        # training and the solve hold the largest arrays, each n_r x n_r
+        sizes = ("" if cfg is None else f" at n_r={cfg.n_r}, where each n_r x n_r "
+                 f"array takes {8 * cfg.n_r ** 2:,} bytes")
+        print(f"error: out of memory{sizes}", file=sys.stderr)
         out.cleanup()
         return 1
     try:

@@ -95,7 +95,7 @@ class Reservoir:
         n_r = w_r.shape[0]
         if w_r.shape != (n_r, n_r):
             raise DimensionMismatchError("w_r must be square")
-        if w_in.shape[0] != n_r or w_in.ndim != 2:
+        if w_in.ndim != 2 or w_in.shape[0] != n_r:
             raise DimensionMismatchError("w_in must be (n_r, n_in)")
         if bias.shape != (n_r,):
             raise DimensionMismatchError("bias must be (n_r,)")
@@ -221,9 +221,11 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
     Open loop: step k consumes ``inputs[k]`` and records the new state.
     Closed loop (``w_out`` given): step k records ``w_out @ r`` and, unless
     it is the last step, consumes it.  Returns the last ``keep_last`` records
-    (default all) on a new first axis.  A non-finite value stays in its
-    column, without a warning.  Single runs stay 1-d: scipy gives an (n_r, 1)
-    column the same sparse product bits with about 3 us more overhead a step.
+    (default all) on a new first axis; open-loop columns come back as
+    (m, kept, n_r) instead, each column's records one contiguous block.  A
+    non-finite value stays in its column, without a warning.  Single runs
+    stay 1-d: scipy gives an (n_r, 1) column the same sparse product bits
+    with about 3 us more overhead a step.
 
     A step allocates only its sparse product; everything else works in
     buffers allocated once per call.  ``x`` holds the state and, for one
@@ -242,7 +244,12 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
             f"readout w_out has shape {w_out.shape}, not ({res.n_in}, {res.n_r})")
     kept = n_steps if keep_last is None else min(keep_last, n_steps)
     first_kept = n_steps - kept
-    records = np.empty((kept, res.n_r if w_out is None else res.n_in) + r.shape[1:])
+    if w_out is None and r.ndim == 2:
+        records = np.empty((r.shape[1], kept, res.n_r))
+        slots = records.transpose(1, 2, 0)
+    else:
+        records = slots = np.empty((kept, res.n_r if w_out is None else res.n_in)
+                                   + r.shape[1:])
     n, lam, fold = res.n_r, res.leakage, res.n_in == 1
     x = np.empty((n + 2 * fold,) + r.shape[1:])
     x[:n] = r
@@ -266,7 +273,7 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
             else:
                 np.matmul(w_out, state, out=u)
                 if k >= first_kept:
-                    records[k - first_kept] = u
+                    slots[k - first_kept] = u
                 if k + 1 == n_steps:
                     break
             pre = w @ x
@@ -280,7 +287,7 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
                 pre *= lam
                 np.add(pre, np.multiply(state, 1.0 - lam, out=term), out=state)
             if w_out is None and k >= first_kept:
-                records[k - first_kept] = state
+                slots[k - first_kept] = state
     return records
 
 
@@ -298,13 +305,25 @@ def drive_open_loop(res: Reservoir, signal: np.ndarray, r0: np.ndarray) -> np.nd
     ``signal`` is an (n_samples, n_in) array and ``r0`` the state before any
     input is consumed; returned row k is the state after consuming sample k,
     so the output has one row per sample.
+
+    An ``r0`` of shape (k, n_r) drives k equal-length signals, stacked
+    row-wise in ``signal``, as the columns of one evolution; their states
+    come back stacked the same way.  For one input each signal's states
+    equal its own call's bit for bit; wider inputs round by batch width.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.ndim != 2 or signal.shape[1] != res.n_in:
         raise DimensionMismatchError(
             f"signal must be (n_samples, {res.n_in}), got shape {signal.shape}")
-    r0 = _start_states(r0, (res.n_r,), "r0")
-    return _evolve(res, r0, signal.shape[0], inputs=signal)
+    runs = np.shape(r0)[:1] if np.ndim(r0) == 2 else ()
+    r0 = _start_states(r0, runs + (res.n_r,), "r0")
+    if not runs:
+        return _evolve(res, r0, signal.shape[0], inputs=signal)
+    if runs[0] < 1 or signal.shape[0] % runs[0]:
+        raise DimensionMismatchError(
+            f"signal's {signal.shape[0]} rows do not split into {runs[0]} signals")
+    inputs = signal.reshape(runs[0], -1, res.n_in).transpose(1, 2, 0)
+    return _evolve(res, r0, inputs.shape[0], inputs=inputs).reshape(signal.shape[0], res.n_r)
 
 
 def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray) -> np.ndarray:
@@ -322,7 +341,7 @@ def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError("inputs must be (n_runs, n_samples >= 1, n_in)")
     n_runs, n_samples = inputs.shape[:2]
     return _evolve(res, np.zeros((res.n_r, n_runs)), n_samples,
-                   inputs=inputs.transpose(1, 2, 0), keep_last=1)[0].T
+                   inputs=inputs.transpose(1, 2, 0), keep_last=1)[:, 0]
 
 
 def run_closed_loop_batch(res: Reservoir, readout: "Readout", r_start: np.ndarray,

@@ -4,8 +4,11 @@ The readout solves a ridge regression: reservoir states gathered while
 driving with noisy standardized signals are paired with the next noisy
 sample, the first ``n_trans`` states of every signal are discarded as a
 synchronization transient, and the normal-equation blocks Y R^T and R R^T
-are accumulated batch by batch so that no more than ``batch_max_states``
-reservoir states are ever held at once.  The fit pair count is
+are accumulated signal by signal, in order.  No more than
+``batch_max_states`` reservoir states are ever held at once: consecutive
+one-input signals of equal length are driven as the columns of one
+evolution, in blocks of at most min(batch_max_states, 2 n_r) states, and
+any other signal alone, in chunks.  The fit pair count is
 
     n_fit = sum_i N_i - n_signals * (n_trans + 1)
 
@@ -20,6 +23,7 @@ the pooled per-component RMS and the training noise work on the stack.
 from __future__ import annotations
 
 import io
+import itertools
 import zipfile
 from dataclasses import astuple, dataclass, fields
 from typing import Sequence
@@ -28,6 +32,7 @@ import numpy as np
 import scipy.linalg
 from numpy.lib import format as npformat
 from scipy import sparse
+from scipy.linalg.blas import dsyrk
 
 from .errors import (
     DimensionMismatchError,
@@ -100,13 +105,28 @@ class NormalAccumulator:
     the pair count, and the sum of squared targets (for residual reports).
     Batches may be accumulated in any order; the floating-point sums then
     agree up to rounding, not bit for bit.
+
+    Each batch adds one BLAS ``dsyrk`` triangle, computed in a reused Gram
+    buffer, to the upper triangle of ``rrt``: the triangle numpy's
+    ``states.T @ states`` computes, bit for bit, without mirroring it on
+    every call.  Reading ``rrt`` mirrors it in place and frees the buffer,
+    so the solve holds no third n_r x n_r array.
     """
 
     def __init__(self, n_r: int, n_in: int):
         self.yrt = np.zeros((n_in, n_r))
-        self.rrt = np.zeros((n_r, n_r))
+        self._rrt = np.zeros((n_r, n_r))
+        self._gram = None  # allocated by the first batch after a read
         self.n_fit = 0
         self.target_sq = 0.0
+
+    @property
+    def rrt(self) -> np.ndarray:
+        if self._gram is not None:
+            for i in range(1, len(self._rrt)):
+                self._rrt[i, :i] = self._rrt[:i, i]
+            self._gram = None
+        return self._rrt
 
     def accumulate(self, states: np.ndarray, targets: np.ndarray) -> "NormalAccumulator":
         """Add one aligned batch of states and targets; rows pair one-to-one."""
@@ -116,11 +136,16 @@ class NormalAccumulator:
             raise DimensionMismatchError("states and targets must pair row by row")
         if states.shape[0] == 0:
             return self
-        if states.shape[1] != self.rrt.shape[0] or targets.shape[1] != self.yrt.shape[0]:
+        if states.shape[1] != len(self._rrt) or targets.shape[1] != len(self.yrt):
             raise DimensionMismatchError("batch width does not match accumulator")
-        # On one C-ordered buffer numpy computes states.T @ states as a
-        # symmetric rank-k update, so the block is exactly symmetric.
-        self.rrt += states.T @ states
+        if self._gram is None:
+            # Fortran-ordered: dsyrk fills its lower triangle in place, which
+            # the C-ordered transpose shows as the upper one; the rest stays 0
+            self._gram = np.zeros_like(self._rrt, order="F")
+        # states.T is the Fortran-ordered n_r x m matrix A of A A^T, as numpy
+        # passes it to syrk for states.T @ states
+        dsyrk(1.0, states.T, c=self._gram, lower=1, overwrite_c=1)
+        self._rrt += self._gram.T
         self.yrt += targets.T @ states
         self.n_fit += states.shape[0]
         self.target_sq += float(np.sum(targets**2))
@@ -211,23 +236,51 @@ def train_with_mse(res: Reservoir, signals: Sequence, cfg: TrainConfig,
     noisy = standardized + noise * (cfg.eta * rms)
 
     acc = NormalAccumulator(res.n_r, res.n_in)
-    for values in np.split(noisy, bounds):
-        inputs = values[:-1]
-        targets = values[1:]
-        state = res.zero_state()
-        pos = 0
-        while pos < inputs.shape[0]:
-            chunk = inputs[pos:pos + cfg.batch_max_states]
-            states = drive_open_loop(res, chunk, state)
-            state = states[-1]
-            lo = max(cfg.n_trans - pos, 0)
-            if lo < states.shape[0]:
-                acc.accumulate(states[lo:], targets[pos + lo:pos + states.shape[0]])
-            pos += states.shape[0]
+    for block in _blocks(np.split(noisy, bounds), res, cfg.batch_max_states):
+        # in a function, so that a block's states are freed before the next
+        _drive_and_accumulate(acc, res, block, cfg)
 
     w_out = solve_readout(acc, cfg.alpha)
     readout = Readout(w_out=w_out, standardizer=standardizer, n_fit=acc.n_fit)
     return readout, fit_mse(acc, w_out)
+
+
+def _drive_and_accumulate(acc: NormalAccumulator, res: Reservoir, block: list,
+                          cfg: TrainConfig) -> None:
+    """Drive a run of signals from the zero state; accumulate each signal's pairs."""
+    if len(block) > 1:
+        states = drive_open_loop(res, np.concatenate([v[:-1] for v in block]),
+                                 np.zeros((len(block), res.n_r)))
+        for values, own in zip(block, np.split(states, len(block))):
+            acc.accumulate(own[cfg.n_trans:], values[cfg.n_trans + 1:])
+        return
+    (values,) = block
+    inputs = values[:-1]
+    targets = values[1:]
+    state = res.zero_state()
+    for pos in range(0, len(inputs), cfg.batch_max_states):
+        states = drive_open_loop(res, inputs[pos:pos + cfg.batch_max_states], state)
+        lo = max(cfg.n_trans - pos, 0)
+        if lo < len(states):
+            acc.accumulate(states[lo:], targets[pos + lo:pos + len(states)])
+        # a copy, so that this chunk is freed before the next one is driven
+        state = states[-1].copy()
+        del states
+
+
+def _blocks(signals: list, res: Reservoir, batch_max_states: int):
+    """Runs of consecutive equal-length signals, to be driven as columns.
+
+    A run of N-sample signals holds at most k = min(batch_max_states, 2 n_r)
+    // (N - 1) of them, so its states take no more floats than ``rrt`` and
+    the Gram buffer.  With two or more inputs k is 1: their BLAS input term
+    rounds by batch width.  A run of one signal is driven in chunks.
+    """
+    for _, run in itertools.groupby(signals, len):
+        run = list(run)
+        k = max(1, min(batch_max_states, 2 * res.n_r) // (len(run[0]) - 1)) if res.n_in == 1 else 1
+        for lo in range(0, len(run), k):
+            yield run[lo:lo + k]
 
 
 _MODEL_SCHEMA = "rcbasin-model-1"

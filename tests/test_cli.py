@@ -764,6 +764,22 @@ class TestFailureCleanup:
         assert out.exists() == existing and not list(out.glob("*"))
 
 
+    @pytest.mark.parametrize("stage", ["run_basin_experiment", "render_basin_map"])
+    def test_out_of_memory(self, wells_ini, tmp_path, capsys, monkeypatch, stage):
+        # raised, not provoked: no large array is allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(experiment, stage, exhausted)
+        out = tmp_path / "map"
+        assert run(["basin-map", "--config", wells_ini, "--out", str(out),
+                    "--parallel", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory at n_r=200, where each n_r x n_r array takes "
+            "320,000 bytes\n")
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def wells_artifacts(tmp_path_factory):
     """A persisted multi-well map and a bundle for the wells config."""

@@ -173,6 +173,23 @@ class TestDriveOpenLoop:
             states = drive_open_loop(res, inputs[k], np.zeros(res.n_r))
             assert np.allclose(finals[k], states[-1], atol=1e-12)
 
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    def test_stacked_signals_equal_single_calls(self, leakage):
+        # one input: k signals driven as columns give each signal's own bytes
+        res = build_reservoir(small_spec(leakage=leakage))
+        rng = np.random.default_rng(8)
+        signals = rng.standard_normal((5, 19, 1))
+        r0 = rng.uniform(-1, 1, (5, res.n_r))
+        stacked = drive_open_loop(res, signals.reshape(-1, 1), r0)
+        singles = [drive_open_loop(res, s, r) for s, r in zip(signals, r0)]
+        assert_same_bytes(stacked, np.concatenate(singles))
+
+    def test_stacked_rows_must_split(self):
+        res = build_reservoir(small_spec())
+        for rows, runs in ((10, 3), (10, 0)):
+            with pytest.raises(DimensionMismatchError):
+                drive_open_loop(res, np.zeros((rows, 1)), np.zeros((runs, res.n_r)))
+
     def test_echo_state_contraction(self):
         # two random initial states forget each other under the same drive
         res = build_reservoir(duffing_table_spec())
@@ -407,6 +424,9 @@ def parent_evolve(res, r, n_steps, inputs=None, w_out=None, keep_last=None):
             r = (1.0 - lam) * r + lam * np.tanh(pre)
             if w_out is None and k >= first_kept:
                 records[k - first_kept] = r
+    if w_out is None and r.ndim == 2:
+        # the kernel's open-loop column layout: (m, kept, n_r)
+        return np.ascontiguousarray(records.transpose(2, 0, 1))
     return records
 
 
@@ -485,7 +505,7 @@ class TestKernelIdentity:
         r0[::4] = np.nan
         new = _evolve(res, r0, 30, inputs=inputs)
         assert_same_bytes(new, parent_evolve(res, r0, 30, inputs=inputs))
-        assert np.isnan(new[:, ::4]).all()
+        assert np.isnan(new[..., ::4]).all()
 
     @pytest.mark.parametrize("n_in", [1, 2])
     @pytest.mark.parametrize("leakage", [1.0, 0.3])
@@ -632,6 +652,8 @@ class TestBlockedBuild:
                  DimensionMismatchError, "w_r must be square", id="w_r_square"),
     pytest.param(lambda: hand_reservoir(np.eye(2), np.ones(2), np.zeros(2)),
                  DimensionMismatchError, "w_in must be (n_r, n_in)", id="w_in_ndim"),
+    pytest.param(lambda: Reservoir(sparse.eye(2, format="csr"), 1.0, np.zeros(2), 1.0),
+                 DimensionMismatchError, "w_in must be (n_r, n_in)", id="w_in_scalar"),
     pytest.param(lambda: hand_reservoir(np.eye(2), np.ones((3, 1)), np.zeros(2)),
                  DimensionMismatchError, "w_in must be (n_r, n_in)", id="w_in_rows"),
     pytest.param(lambda: hand_reservoir(np.eye(2), np.ones((2, 1)), np.zeros(3)),

@@ -84,6 +84,24 @@ def test_sampling_counters_follow_blocks(monkeypatch):
     assert metrics["experiment.sampling_candidates"] == sum(widths)
 
 
+def test_training_blocks_traced():
+    # one input, n_r 50, 20-sample signals: driven 5 at a time, accumulated
+    # one signal at a time
+    tracer = load_tracer()
+    cfg = default_config("duffing", n_r=50, train_sig_len=20, n_train=12, resolution=2)
+    run = tracer.Tracer("tier1")
+    run.install(rcbasin)
+    try:
+        run_basin_experiment(cfg)
+    finally:
+        run.uninstall()
+    drives = [s for s in run.spans if s["name"] == "training.drive_open_loop"]
+    assert [s["counts"]["steps"] for s in drives] == [5 * 19, 5 * 19, 2 * 19]
+    assert tracer.layer_metrics(run.spans)["reservoir.drive_open_loop_steps"] == 12 * 19
+    assert sum(s["name"] == "training.NormalAccumulator.accumulate"
+               for s in run.spans) == cfg.n_train
+
+
 def test_benchmark_span_contract(tmp_path):
     # the benchmark's own check on traced maps, run as its child process runs
     # them; Lorenz takes the KL path and the pendulum the adaptive one

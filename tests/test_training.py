@@ -1,5 +1,11 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +18,7 @@ from rcbasin.errors import (
     SingularSystemError,
     TooShortError,
 )
+from rcbasin.experiment import default_config, train_from_config
 from rcbasin.reservoir import Reservoir, ReservoirSpec, build_reservoir
 from rcbasin.systems import duffing, integrate_rk4
 from rcbasin.timeseries import Standardizer, TimeSeries
@@ -312,6 +319,76 @@ class TestTrain:
         a = train(res, duffing_signals, TrainConfig(eta=1e-3, seed=0))
         b = train(res, duffing_signals, TrainConfig(eta=1e-3, seed=1))
         assert not np.array_equal(a.w_out, b.w_out)
+
+
+class TestColumnBlocks:
+    """Consecutive one-input signals of equal length are driven k at a time,
+    k = min(batch_max_states, 2 n_r) // (N - 1), and give the bytes of one
+    signal at a time."""
+
+    @staticmethod
+    def drive_widths(monkeypatch, fit):
+        widths = []
+
+        def spy(res, signal, r0):
+            widths.append(np.shape(r0)[0] if np.ndim(r0) == 2 else 1)
+            return reservoir_mod.drive_open_loop(res, signal, r0)
+
+        monkeypatch.setattr(training_mod, "drive_open_loop", spy)
+        return widths, fit()
+
+    def test_blocks_match_single_signals(self, monkeypatch):
+        # n_r 50 and 20-sample signals: k = 100 // 19 = 5
+        cfg = default_config("duffing", n_r=50, train_sig_len=20, n_train=12)
+        widths, (_, blocked, blocked_mse) = self.drive_widths(
+            monkeypatch, lambda: train_from_config(cfg))
+        assert widths == [5, 5, 2]
+        single_cfg = replace(cfg, batch_max_states=cfg.train_sig_len - 1)
+        widths, (_, single, single_mse) = self.drive_widths(
+            monkeypatch, lambda: train_from_config(single_cfg))
+        assert widths == [1] * 12
+        assert blocked.w_out.tobytes() == single.w_out.tobytes()
+        assert blocked_mse == single_mse
+
+    @pytest.mark.parametrize("n_in, expected", [(1, [2, 1, 3]), (2, [1] * 6)])
+    def test_runs_break_at_length_changes(self, monkeypatch, n_in, expected):
+        # k is 5 for 20 samples and 3 for 30; two inputs drive one at a time
+        rng = np.random.default_rng(12)
+        signals = [rng.standard_normal((n, n_in)) for n in (20, 20, 30, 20, 20, 20)]
+        res = small_reservoir(n_in=n_in, n_r=50)
+        widths, (blocked, blocked_mse) = self.drive_widths(
+            monkeypatch, lambda: train_with_mse(res, signals, TrainConfig()))
+        assert widths == expected
+        _, (single, single_mse) = self.drive_widths(
+            monkeypatch, lambda: train_with_mse(res, signals, TrainConfig(batch_max_states=29)))
+        assert blocked.w_out.tobytes() == single.w_out.tobytes()
+        assert blocked_mse == single_mse
+
+
+def test_normal_equations_do_not_depend_on_thread_count():
+    # rrt and yrt of one fixed list of batches, at 1 and 2 BLAS threads
+    script = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from rcbasin.training import NormalAccumulator
+        rng = np.random.default_rng(0)
+        acc = NormalAccumulator(400, 2)
+        for rows in (494, 200, 1, 37, 494):
+            acc.accumulate(np.tanh(rng.standard_normal((rows, 400))),
+                           rng.standard_normal((rows, 2)))
+        print(hashlib.sha256(acc.rrt.tobytes()).hexdigest(),
+              hashlib.sha256(acc.yrt.tobytes()).hexdigest())
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestModelBundle:
