@@ -10,6 +10,7 @@ Run from the repository root:  python demos/06_training_sweep.py
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -18,26 +19,25 @@ from rcbasin.experiment import run_sweep, write_sweep_csv
 
 cfg, inputs = read_config("configs/duffing_sweep.ini")
 cfg = dataclasses.replace(cfg, resolution=20)
-n_train_values = inputs[("sweep", "n_train")]
 half_widths = [4.0, 7.0, 10.0]
+axes = {"n_train": inputs[("sweep", "n_train")], "train_half_width": half_widths,
+        "test_half_width": inputs[("sweep", "test_half_width")]}
 realizations = inputs[("sweep", "realizations")]
 
-print("running", len(n_train_values) * len(half_widths) * realizations, "cells ...")
-rows, errors = run_sweep(cfg, n_train_values, half_widths,
-                         inputs[("sweep", "test_half_width")],
-                         realizations=realizations, parallel=2)
+print("running", math.prod(map(len, axes.values())) * realizations, "cells ...")
+rows, errors = run_sweep(cfg, axes, realizations=realizations, parallel=2)
 for err in errors:
     print("failed:", err)
-write_sweep_csv(rows, "demo_output_sweep.csv")
+write_sweep_csv(rows, "demo_output_sweep.csv", axes)
 
 means = {}
-for row in rows:
-    means.setdefault((row.n_train, row.half_train), []).append(row.f_c)
+for n_train, half_train, _, _, f_c, _ in rows:
+    means.setdefault((n_train, half_train), []).append(f_c)
 
 header = "n_train \\ half_train " + "".join(f"{hw:>8.1f}" for hw in half_widths)
 print()
 print(header)
-for nt in n_train_values:
+for nt in axes["n_train"]:
     cells = "".join(f"{np.nanmean(means[(nt, hw)]):>8.3f}" for hw in half_widths)
     print(f"{nt:>20} {cells}")
 print()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from concurrent.futures import BrokenExecutor
@@ -69,18 +70,21 @@ _FIELD_MAP = {(f.metadata["ini"][0], f.metadata["ini"][1] or f.name): (f.name, _
 
 #: Subcommand inputs: (section, key) -> parser.
 _INPUTS = {("simulate", "ic"): _floats, ("simulate", "n_steps"): _at_least_one,
-           ("predict", "ic"): _floats,
-           ("sweep", "n_train"): _ints, ("sweep", "train_half_width"): _floats,
-           ("sweep", "test_half_width"): _floats, ("sweep", "realizations"): _at_least_one}
+           ("predict", "ic"): _floats, ("sweep", "realizations"): _at_least_one}
+
+#: [sweep] axes: a scalar field's bare INI key -> (("sweep", field), its values' parser).
+_AXES = {key: (("sweep", name), functools.partial(_values, parse))
+         for (_, key), (name, parse) in _FIELD_MAP.items() if parse is not _ints}
 
 
 def read_config(path) -> tuple[ExperimentConfig, dict]:
     """Parse and fully validate an INI config before any computation starts.
 
-    Returns the config and the subcommand inputs, keyed by (section, key).
-    A ``[system]`` key that names a parameter of the system's factory (such
-    as ``f0``) is a float system parameter; ``[DEFAULT]`` is rejected, since
-    its keys would reach every section.
+    Returns the config and the subcommand inputs, keyed by (section, key),
+    a ``[sweep]`` axis by ("sweep", field name).  A ``[system]`` key that
+    names a parameter of the system's factory (such as ``f0``) is a float
+    system parameter; ``[DEFAULT]`` is rejected, since its keys would reach
+    every section.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not os.path.exists(path):
@@ -111,6 +115,8 @@ def read_config(path) -> tuple[ExperimentConfig, dict]:
                 (name, parse), target = _FIELD_MAP[(section, key)], overrides
             elif (section, key) in _INPUTS:
                 name, parse, target = (section, key), _INPUTS[(section, key)], inputs
+            elif section == "sweep" and key in _AXES:
+                (name, parse), target = _AXES[key], inputs
             elif section == "system" and key in accepted:
                 name, parse, target = key, float, system_params
             else:
@@ -245,26 +251,25 @@ def cmd_basin_map(cfg, out: _OutputTracker, parallel: int,
 
 
 def cmd_sweep(cfg, inputs: dict, out: _OutputTracker, parallel: int) -> list[str]:
-    n_train = _require(inputs, "sweep", "n_train")
-    half_train = _require(inputs, "sweep", "train_half_width")
-    half_test = _require(inputs, "sweep", "test_half_width")
+    axes = {name: values for (section, name), values in inputs.items()
+            if section == "sweep" and name != "realizations"}
+    if not axes:
+        raise ConfigError("missing required field: [sweep] needs at least one axis")
     realizations = inputs.get(("sweep", "realizations"), 1)
-    rows, errors = experiment.run_sweep(cfg, n_train, half_train, half_test,
-                                        realizations=realizations, parallel=parallel)
+    rows, errors = experiment.run_sweep(cfg, axes, realizations=realizations,
+                                        parallel=parallel)
     csv_path = out.path("sweep.csv")
     out.paths.append(csv_path + ".meta")
-    experiment.write_sweep_csv(rows, csv_path, provenance={
+    experiment.write_sweep_csv(rows, csv_path, axes, provenance={
         **experiment.provenance(cfg), "realizations": realizations})
     for err in errors:
         print("failed:", err, file=sys.stderr)
     report = [f"wrote sweep.csv ({len(rows)} rows, {len(errors)} failed cells)"]
-    by_cell: dict = {}
-    for row in rows:
-        by_cell.setdefault((row.n_train, row.half_train, row.half_test), []).append(row.f_c)
-    for key, vals in sorted(by_cell.items()):
-        mean = float("nan") if np.isnan(vals).all() else np.nanmean(vals)
-        report.append(f"n_train={key[0]} half_train={key[1]} half_test={key[2]} "
-                      f"mean f_c={mean:.4f}")
+    for start in range(0, len(rows), realizations):  # a cell's realizations are adjacent
+        f_c = [row[-2] for row in rows[start:start + realizations]]
+        mean = float("nan") if np.isnan(f_c).all() else np.nanmean(f_c)
+        report.append(" ".join(f"{name}={value}" for name, value in zip(axes, rows[start]))
+                      + f" mean f_c={mean:.4f}")
     return report
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import hashlib
+import itertools
 import math
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -132,8 +133,9 @@ class ExperimentConfig:
                 _check_finite(f"[{section}] {key or f.name}", getattr(self, f.name))
         for key, value in self.system_params.items():
             _check_finite(f"[system] {key}", value)
-        if self.dt <= 0:
-            raise ValueError(f"[system] dt must be positive, got {self.dt!r}")
+        for name in ("dt", "rel_tol", "abs_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"[system] {name} must be positive, got {getattr(self, name)!r}")
         if self.resolution < 1:
             raise ValueError("resolution must be at least 1")
         if self.n_test < 1:
@@ -161,8 +163,8 @@ class ExperimentConfig:
                 f"({self.n_trans + 2}): each signal must leave a fit pair")
         if self.max_attempt_factor < 1:
             raise ValueError("max_attempt_factor must be at least 1")
-        if len(self.observe) < 1 or min(self.observe) < 0:
-            raise ValueError("observe at least one component, each a non-negative index")
+        if not self.observe or min(self.observe) < 0 or len(set(self.observe)) < len(self.observe):
+            raise ValueError("observe one or more distinct components, each a non-negative index")
         if len(self.grid_axes) != 2 or len(set(self.grid_axes)) != 2 or min(self.grid_axes) < 0:
             raise ValueError("grid_axes must be two distinct non-negative indices")
         reservoir_spec_from_config(self)
@@ -605,7 +607,6 @@ def run_basin_experiment(cfg: ExperimentConfig, parallel: int = 1,
 
 _MAP_SCHEMA = "rcbasin-basinmap-1"
 _MAP_HEADER = "ic_0,ic_1,true_label,pred_label,outcome"
-_SWEEP_HEADER = "n_train,half_train,half_test,realization,f_c,f_spurious"
 
 
 def persist(basin_map: BasinMap, path) -> None:
@@ -696,37 +697,28 @@ def render_basin_map(basin_map: BasinMap, path) -> None:
 # Parameter sweeps
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    n_train: int
-    half_train: float
-    half_test: float
-    realization: int
-    f_c: float
-    f_spurious: float
-
-
-def _sweep_cell(job) -> tuple[SweepRow, str | None]:
+def _sweep_cell(job) -> tuple[tuple, str | None]:
     """One sweep cell's row, or a row of NaN scores and the cell's error note."""
-    cfg, n_train, half_train, half_test, realization = job
+    cfg, cell, realization = job
     try:
+        cfg = replace(cfg, **cell)
         metrics = run_basin_experiment(replace(
-            cfg, n_train=n_train, train_half_width=half_train, test_half_width=half_test,
-            seed_reservoir=cfg.seed_reservoir + realization,
+            cfg, seed_reservoir=cfg.seed_reservoir + realization,
             seed_sampling=cfg.seed_sampling + realization)).metrics
     except Exception as exc:  # a cell's failure is recorded, not fatal
-        return (SweepRow(*job[1:], float("nan"), float("nan")),
-                f"cell(n_train={n_train}, half_train={half_train}, half_test={half_test}, "
-                f"realization={realization}): {exc}")
-    return SweepRow(*job[1:], metrics.f_c, metrics.f_spurious), None
+        values = ", ".join(f"{name}={value}" for name, value in cell.items())
+        return ((*cell.values(), realization, float("nan"), float("nan")),
+                f"cell({values}, realization={realization}): {exc}")
+    return (*cell.values(), realization, metrics.f_c, metrics.f_spurious), None
 
 
-def run_sweep(cfg: ExperimentConfig, n_train_values: Sequence[int],
-              train_half_values: Sequence[float], test_half_values: Sequence[float],
-              realizations: int = 1, parallel: int = 1) -> tuple[list[SweepRow], list[str]]:
-    """Full factorial sweep; every cell/realization is an independent job.
+def run_sweep(cfg: ExperimentConfig, axes: dict[str, Sequence],
+              realizations: int = 1, parallel: int = 1) -> tuple[list[tuple], list[str]]:
+    """Sweep crossing ``axes`` (field name -> values) in listing order, the
+    last varying fastest and realizations innermost; each cell/realization is
+    an independent job whose row is ``(*values, realization, f_c, f_spurious)``.
 
-    Realization r runs with reservoir and sampling seeds offset by r, so
+    Realization r offsets the cell's reservoir and sampling seeds by r, so
     realization 0 of any cell reproduces :func:`run_basin_experiment` on the
     equivalent config exactly.  A cell that raises is recorded (row with NaN
     scores plus an error note) without aborting the sweep; a worker process
@@ -734,20 +726,21 @@ def run_sweep(cfg: ExperimentConfig, n_train_values: Sequence[int],
 
     Returns (rows, errors).
     """
-    if not (n_train_values and train_half_values and test_half_values):
+    unknown = set(axes) - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise ValueError(f"sweep axes name no config field: {sorted(unknown)}")
+    if not axes or not all(len(values) for values in axes.values()):
         raise ValueError("sweep axes must be non-empty")
     if realizations < 1:
         raise ValueError("realizations must be at least 1")
-    jobs = [(cfg, int(nt), float(ht), float(hv), r)
-            for nt in n_train_values
-            for ht in train_half_values
-            for hv in test_half_values
+    jobs = [(cfg, dict(zip(axes, cell)), r)
+            for cell in itertools.product(*axes.values())
             for r in range(realizations)]
     results = _run_jobs(_sweep_cell, jobs, parallel)
     return [row for row, _ in results], [err for _, err in results if err is not None]
 
 
-def write_sweep_csv(rows: Sequence[SweepRow], path,
+def write_sweep_csv(rows: Sequence[tuple], path, axes: Sequence[str],
                     provenance: dict | None = None) -> None:
-    """Write sweep rows; provenance, when given, goes to a ``.meta`` sidecar."""
-    write_table(path, _SWEEP_HEADER, (astuple(row) for row in rows), provenance)
+    """Write sweep rows under the axis names; provenance goes to a ``.meta`` sidecar."""
+    write_table(path, ",".join([*axes, "realization", "f_c", "f_spurious"]), rows, provenance)

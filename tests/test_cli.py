@@ -307,7 +307,10 @@ class TestConfigValidation:
         ("system", "dt", "nan", "[system] dt must be finite"),
         ("system", "dt", "0", "[system] dt must be positive"),
         ("system", "f0", "nan", "[system] f0 must be finite"),
-    ], ids=["train_half_width-nan", "eps_c-nan", "dt-nan", "dt-0", "f0-nan"])
+        ("system", "rel_tol", "0", "[system] rel_tol must be positive"),
+        ("system", "abs_tol", "-1e-9", "[system] abs_tol must be positive"),
+    ], ids=["train_half_width-nan", "eps_c-nan", "dt-nan", "dt-0", "f0-nan", "rel_tol-0",
+            "abs_tol-negative"])
     def test_non_finite_or_zero_step_rejected(self, tmp_path, capsys, section, key, value,
                                               message):
         cfg = tmp_path / "bad.ini"
@@ -529,6 +532,7 @@ class TestIndexInputs:
         ("experiment", "grid_axes", "1 1", "grid_axes must be two distinct"),
         ("experiment", "grid_axes", "-1 0", "grid_axes must be two distinct"),
         ("observation", "components", "0 -1", "each a non-negative index"),
+        ("observation", "components", "0 0", "distinct components"),
         ("experiment", "train_sig_len", "3", "train_sig_len (3) must be at least n_trans + 2"),
     ])
     @pytest.mark.parametrize("command", ["train", "basin-map"])
@@ -674,6 +678,41 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * 2 * 1 * 2  # header + factorial x realizations
         assert "mean f_c" in capsys.readouterr().out
 
+    def test_rows_follow_the_listing_order(self, tmp_path, capsys, monkeypatch):
+        def no_run(cfg):
+            raise ValueError("not run")
+
+        monkeypatch.setattr(experiment, "run_basin_experiment", no_run)
+        ini = tmp_path / "sweep.ini"
+        ini.write_text("[system]\nname = duffing\n[sweep]\ntrain_sig_len = 100 20\n"
+                       "realizations = 2\nn_train = 50, 10\n")
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(ini), "--out", str(out),
+                    "--parallel", "1"]) == 0
+        header, rows = read_table(out / "sweep.csv")
+        assert header == "train_sig_len,n_train,realization,f_c,f_spurious"
+        assert [row[:3] for row in rows] == [
+            [length, n, r] for length in ("100", "20") for n in ("50", "10") for r in "01"]
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"train_sig_len={length} n_train={n} mean f_c=nan"
+            for length in (100, 20) for n in (50, 10)]
+
+    @pytest.mark.parametrize("body, message", [
+        ("n_trian = 2 3\n", "unknown key in [sweep]: n_trian"),
+        ("components = 0 1\n", "unknown key in [sweep]: components"),
+        ("grid_axes = 0 1\n", "unknown key in [sweep]: grid_axes"),
+        ("realizations = 2\n", "missing required field: [sweep] needs at least one axis"),
+        ("", "missing required field: [sweep] needs at least one axis"),
+    ], ids=["no-field", "components", "grid_axes", "realizations-only", "empty"])
+    def test_axis_config_error(self, tmp_path, capsys, body, message):
+        ini = tmp_path / "sweep.ini"
+        ini.write_text(f"[system]\nname = duffing\n[sweep]\n{body}")
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--config", str(ini), "--out", str(out),
+                    "--parallel", "1"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_realizations_below_one_is_an_error(self, tmp_path, capsys):
         ini = tmp_path / "sweep.ini"
         ini.write_text(TINY_SWEEP + "realizations = 0\n")
@@ -707,9 +746,13 @@ class TestArtifactBytes:
         "basin_map.ppm": "1ccd0f4648ed4e845e709e28695c99299c7a06e89ce886f2cacd5dd98e1d14af",
     }
     SWEEP_SHA256 = {
-        "sweep.csv": "cfc9281a3537069c3ed0253c8ae87614311d4724a9e72a72184d85de18999026",
+        "sweep.csv": "bcc02b838577bcf02a50a4b604f7f3d6c6b8d8e1068c16a1fe1ab020f2bfef35",
         "sweep.csv.meta": "8e08f553b6f57e6a522b14e2afbd43b1877eeaf9fa787fd2517f2736fc50a145",
     }
+    #: sweep.csv under the header it had before the axes were named by their
+    #: config fields: the rows are unchanged
+    OLD_SWEEP_HEADER = b"n_train,half_train,half_test,realization,f_c,f_spurious"
+    OLD_SWEEP_SHA256 = "cfc9281a3537069c3ed0253c8ae87614311d4724a9e72a72184d85de18999026"
 
     @staticmethod
     def digests(out, names):
@@ -730,6 +773,10 @@ class TestArtifactBytes:
                     "--parallel", "1"]) == 0
         assert "n_train=0" in capsys.readouterr().err
         assert self.digests(out, self.SWEEP_SHA256) == self.SWEEP_SHA256
+        header, rows = (out / "sweep.csv").read_bytes().split(b"\n", 1)
+        assert header == b"n_train,train_half_width,test_half_width,realization,f_c,f_spurious"
+        old = hashlib.sha256(self.OLD_SWEEP_HEADER + b"\n" + rows).hexdigest()
+        assert old == self.OLD_SWEEP_SHA256
 
 
 class TestFailureCleanup:
@@ -952,6 +999,12 @@ class TestConfigSchema:
                                                             "perfbench/workloads/*.ini")
                    for p in REPO.glob(pattern)}
         assert shipped == set(CONFIG_HASHES)
+
+    def test_keys_unique_across_sections(self):
+        # a [sweep] axis names its field by the bare key
+        keys = [key for _, key in cli._FIELD_MAP]
+        assert len(set(keys)) == len(keys)
+        assert "realizations" not in keys
 
     def test_readme_lists_every_key(self):
         readme = (REPO / "README.md").read_text()

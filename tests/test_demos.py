@@ -1,9 +1,11 @@
 """Every name a demo imports from the package exists, and every config a
-demo names reads, without running the demos."""
+demo names reads, without running the demos; the sweep demo runs on stubbed
+sweep rows."""
 
 import ast
 import importlib
 import importlib.util
+import itertools
 import re
 from pathlib import Path
 
@@ -45,3 +47,32 @@ def test_demo_configs_read(path):
     assert names, f"{path.name} names no configs/*.ini"
     for name in names:
         read_config(str(REPO / name))  # a missing or invalid file raises ConfigError
+
+
+def test_sweep_demo_reads_tuple_rows(monkeypatch, capsys):
+    """Demo 06 runs on the rows ``run_sweep`` returns, with both the sweep
+    and the CSV writer stubbed."""
+    from rcbasin import experiment
+
+    calls = {}
+
+    def run_sweep(cfg, axes, realizations=1, parallel=1):
+        calls["axes"] = dict(axes)
+        cells = itertools.product(*axes.values())
+        return [(*cell, r, 0.25 * r, 0.0) for cell in cells for r in range(realizations)], []
+
+    monkeypatch.setattr(experiment, "run_sweep", run_sweep)
+    monkeypatch.setattr(experiment, "write_sweep_csv",
+                        lambda rows, path, axes: calls.update(rows=rows, header=list(axes)))
+    monkeypatch.chdir(REPO)
+    path = REPO / "demos" / "06_training_sweep.py"
+    exec(compile(path.read_text(), str(path), "exec"), {"__name__": "__main__"})
+
+    assert calls["axes"] == {"n_train": (2, 10), "train_half_width": [4.0, 7.0, 10.0],
+                             "test_half_width": (10.0,)}
+    assert calls["header"] == ["n_train", "train_half_width", "test_half_width"]
+    assert len(calls["rows"]) == 2 * 3 * 3
+    out = capsys.readouterr().out
+    assert "running 18 cells ..." in out
+    # each cell's mean over realizations 0, 1 and 2
+    assert f"{2:>20} {'0.250':>8}{'0.250':>8}{'0.250':>8}" in out

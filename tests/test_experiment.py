@@ -24,7 +24,6 @@ from rcbasin.experiment import (
     WRONG_COLOR,
     BasinMap,
     ExperimentConfig,
-    SweepRow,
     config_hash,
     default_config,
     forecast_cells,
@@ -844,50 +843,93 @@ class TestRender:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def axes(n_train, train_half_width, test_half_width):
+    """The three-axis sweep the CLI's shipped sweep config runs."""
+    return {"n_train": n_train, "train_half_width": train_half_width,
+            "test_half_width": test_half_width}
+
+
 class TestSweep:
     def test_single_cell_matches_experiment(self, wells_map):
         cfg = wells_config()
-        rows, errors = run_sweep(cfg, [cfg.n_train], [cfg.train_half_width],
-                                 [cfg.test_half_width], realizations=1)
+        rows, errors = run_sweep(cfg, axes([cfg.n_train], [cfg.train_half_width],
+                                           [cfg.test_half_width]), realizations=1)
         assert not errors
-        assert len(rows) == 1
-        assert rows[0].f_c == wells_map.metrics.f_c
-        assert rows[0].f_spurious == wells_map.metrics.f_spurious
+        assert rows == [(cfg.n_train, cfg.train_half_width, cfg.test_half_width, 0,
+                         wells_map.metrics.f_c, wells_map.metrics.f_spurious)]
 
     def test_factorial_row_count(self):
         cfg = wells_config(resolution=3, horizon=400)
-        rows, errors = run_sweep(cfg, [2, 4], [3.0, 4.0], [4.0], realizations=2)
+        rows, errors = run_sweep(cfg, axes([2, 4], [3.0, 4.0], [4.0]), realizations=2)
         assert len(rows) == 8 and not errors
         means = {}
-        for row in rows:
-            means.setdefault((row.n_train, row.half_train), []).append(row.f_c)
+        for n_train, half_train, _, _, f_c, _ in rows:
+            means.setdefault((n_train, half_train), []).append(f_c)
         for vals in means.values():
             assert min(vals) <= np.mean(vals) <= max(vals)
+
+    def test_rows_follow_the_listing_order(self, monkeypatch):
+        def no_run(cfg):
+            raise ValueError("not run")
+
+        monkeypatch.setattr(experiment_mod, "run_basin_experiment", no_run)
+        cfg = wells_config()
+        rows, errors = run_sweep(cfg, {"train_half_width": [3.0, 4.0], "n_train": [5, 2]},
+                                 realizations=2)
+        assert [row[:3] for row in rows] == [(3.0, 5, 0), (3.0, 5, 1), (3.0, 2, 0),
+                                             (3.0, 2, 1), (4.0, 5, 0), (4.0, 5, 1),
+                                             (4.0, 2, 0), (4.0, 2, 1)]
+        assert errors[1] == "cell(train_half_width=3.0, n_train=5, realization=1): not run"
+
+    def test_realization_offsets_swept_seeds(self, monkeypatch):
+        seen = []
+
+        def record(cfg):
+            seen.append((cfg.n_r, cfg.seed_reservoir, cfg.seed_sampling, cfg.seed_noise))
+            raise ValueError("not run")
+
+        monkeypatch.setattr(experiment_mod, "run_basin_experiment", record)
+        run_sweep(wells_config(), {"seed_reservoir": [10, 20], "n_r": [30]}, realizations=2)
+        assert seen == [(30, 10, 1, 2), (30, 11, 2, 2), (30, 20, 1, 2), (30, 21, 2, 2)]
 
     def test_failed_cells_recorded_not_fatal(self):
         cfg = default_config("duffing", resolution=2, horizon=60, n_test=4,
                              n_train=2, n_r=30, restrict_to_basin=7,
                              max_attempt_factor=4)
-        rows, errors = run_sweep(cfg, [2], [4.0], [4.0], realizations=1)
-        assert len(rows) == 1 and np.isnan(rows[0].f_c)
+        rows, errors = run_sweep(cfg, axes([2], [4.0], [4.0]), realizations=1)
+        assert len(rows) == 1 and np.isnan(rows[0][-2])
         assert errors and "realization=0" in errors[0]
 
     def test_parallel_matches_serial(self):
         cfg = wells_config(resolution=3, horizon=400)
-        serial, _ = run_sweep(cfg, [2, 3], [4.0], [4.0], realizations=1, parallel=1)
-        para, _ = run_sweep(cfg, [2, 3], [4.0], [4.0], realizations=1, parallel=2)
+        serial, _ = run_sweep(cfg, axes([2, 3], [4.0], [4.0]), realizations=1, parallel=1)
+        para, _ = run_sweep(cfg, axes([2, 3], [4.0], [4.0]), realizations=1, parallel=2)
         assert serial == para
 
     def test_parallel_records_failed_and_passing_cells(self):
         # n_train = 0 fails the config check inside its worker
         cfg = wells_config(resolution=3, horizon=400)
-        rows, errors = run_sweep(cfg, [0, 2], [4.0], [4.0], realizations=1, parallel=2)
-        serial, _ = run_sweep(cfg, [2], [4.0], [4.0], realizations=1, parallel=1)
-        assert [row.n_train for row in rows] == [0, 2]
-        assert np.isnan(rows[0].f_c) and np.isnan(rows[0].f_spurious)
+        rows, errors = run_sweep(cfg, axes([0, 2], [4.0], [4.0]), realizations=1, parallel=2)
+        serial, _ = run_sweep(cfg, axes([2], [4.0], [4.0]), realizations=1, parallel=1)
+        assert [row[0] for row in rows] == [0, 2]
+        assert np.isnan(rows[0][-2]) and np.isnan(rows[0][-1])
         assert rows[1] == serial[0]
         assert len(errors) == 1 and "n_train=0" in errors[0]
         assert "n_train must be at least 1" in errors[0]
+
+    @pytest.mark.parametrize("sweep_axes, message", [
+        ({"n_train": [2], "half_train": [4.0]}, "sweep axes name no config field: "
+                                                "['half_train']"),
+        (axes([2], [], [4.0]), "sweep axes must be non-empty"),
+        ({}, "sweep axes must be non-empty"),
+    ], ids=["unknown_field", "empty_axis", "no_axis"])
+    def test_axes_rejected_before_any_job(self, monkeypatch, sweep_axes, message):
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(experiment_mod, "_run_jobs", no_jobs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sweep(wells_config(), sweep_axes)
 
     def test_realizations_below_one_rejected(self, monkeypatch):
         def no_jobs(*args, **kwargs):
@@ -895,7 +937,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiment_mod, "_run_jobs", no_jobs)
         with pytest.raises(ValueError, match="realizations must be at least 1"):
-            run_sweep(wells_config(), [2], [4.0], [4.0], realizations=0)
+            run_sweep(wells_config(), axes([2], [4.0], [4.0]), realizations=0)
 
     def test_pool_no_wider_than_the_jobs(self, monkeypatch):
         widths = []
@@ -924,13 +966,14 @@ class TestSweep:
 
     def test_csv_round_trip(self, tmp_path):
         cfg = wells_config(resolution=3, horizon=400)
-        rows, _ = run_sweep(cfg, [2], [4.0], [3.0, 4.0], realizations=1)
+        sweep_axes = axes([2], [4.0], [3.0, 4.0])
+        rows, _ = run_sweep(cfg, sweep_axes, realizations=1)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
+        write_sweep_csv(rows, path, sweep_axes)
         header, cells = read_table(path)
-        assert [SweepRow(int(nt), float(ht), float(hv), int(r), float(fc), float(fs))
+        assert [(int(nt), float(ht), float(hv), int(r), float(fc), float(fs))
                 for nt, ht, hv, r, fc, fs in cells] == rows
-        assert header == "n_train,half_train,half_test,realization,f_c,f_spurious"
+        assert header == "n_train,train_half_width,test_half_width,realization,f_c,f_spurious"
 
     def test_duffing_training_range_effect(self):
         # wide training boxes generalize, narrow ones collapse: the mean
@@ -938,12 +981,12 @@ class TestSweep:
         cfg = default_config("duffing", n_train=10, restrict_to_basin=0,
                              resolution=12, n_test=10,
                              seed_reservoir=0, seed_sampling=1, seed_noise=2)
-        rows, errors = run_sweep(cfg, [2, 10], [4.0, 10.0], [10.0],
+        rows, errors = run_sweep(cfg, axes([2, 10], [4.0, 10.0], [10.0]),
                                  realizations=2, parallel=2)
         assert not errors
         mean = {}
-        for row in rows:
-            mean.setdefault((row.n_train, row.half_train), []).append(row.f_c)
+        for n_train, half_train, _, _, f_c, _ in rows:
+            mean.setdefault((n_train, half_train), []).append(f_c)
         assert np.mean(mean[(10, 10.0)]) > np.mean(mean[(10, 4.0)])
 
 
@@ -974,7 +1017,7 @@ def load_with_header(path, header):
     pytest.param(lambda tmp_path: render_basin_map(one_cell_map(resolution=2),
                                                    tmp_path / "map.ppm"),
                  ValueError, "outcome count does not match resolution^2", id="render_count"),
-    pytest.param(lambda tmp_path: run_sweep(wells_config(), [], [1.0], [1.0]), ValueError,
+    pytest.param(lambda tmp_path: run_sweep(wells_config(), axes([], [1.0], [1.0])), ValueError,
                  "sweep axes must be non-empty", id="sweep_axes"),
 ])
 def test_input_checks(call, error, fragment, tmp_path):
