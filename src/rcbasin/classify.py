@@ -253,8 +253,9 @@ def _log_mixture_density_blocked(queries: np.ndarray, centers: np.ndarray) -> np
 
     Bounds the temporaries by the block instead of the whole query set.
     ``np.array_split`` into equal blocks never leaves a lone row, which the
-    BLAS would route through a matrix-vector kernel whose rounding differs;
-    blocks of many rows reproduce the single-shot values exactly.
+    BLAS would route through a matrix-vector kernel whose rounding differs.
+    Blocks of many rows gave the single-shot values on both Lorenz reference
+    sets, but are not bit-exact in general: 1 ulp off in a few forecast tails.
     """
     n_blocks = max(1, -(-queries.shape[0] // _DENSITY_BLOCK_ROWS))
     return np.concatenate([_log_mixture_density(block, centers)

@@ -363,24 +363,19 @@ def _run_jobs(fn, jobs: Sequence, parallel: int) -> list:
 def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """True labels plus observed test prefixes for every initial condition.
 
-    Work proceeds in fixed chunks of :data:`CELL_CHUNK` cells, each
-    integrated as one ensemble by either integrator.  A label is -1 when the
+    All cells are integrated as one ensemble by either integrator, and each
+    row's result does not depend on the others.  A label is -1 when the
     trajectory is unresolved or not finite.  Raises
     :class:`StepSizeUnderflowError` if any adaptive cell fails.
     """
     sys = system_from_config(cfg)
-    crit = criteria_from_config(cfg)
-    labels = np.empty(len(ics), dtype=int)
-    prefixes = np.empty((len(ics), cfg.n_test, len(cfg.observe)))
-    for lo in range(0, len(ics), CELL_CHUNK):
-        chunk = ics[lo:lo + CELL_CHUNK]
-        block = integrate_truth(cfg, sys, chunk, cfg.horizon - 1, head=cfg.n_test)
-        hi = lo + len(chunk)
-        labels[lo:hi] = [label if isinstance(label, int) else -1
-                         for label in label_trajectories(sys, crit, block, range(sys.dim))]
-        labels[lo:hi][~np.isfinite(block).all(axis=(1, 2))] = -1
-        prefixes[lo:hi] = block[:, :cfg.n_test, list(cfg.observe)]
-    return labels, prefixes
+    block = integrate_truth(cfg, sys, ics, cfg.horizon - 1, head=cfg.n_test)
+    labels = np.array([label if isinstance(label, int) else -1
+                       for label in label_trajectories(sys, criteria_from_config(cfg), block,
+                                                       range(sys.dim))], dtype=int)
+    labels[~np.isfinite(block).all(axis=(1, 2))] = -1
+    # C-ordered, the layout the synchronization's BLAS input product is pinned at
+    return labels, np.ascontiguousarray(block[:, :cfg.n_test, list(cfg.observe)])
 
 
 #: Smallest restricted rejection-sampling block, and the margin added to the

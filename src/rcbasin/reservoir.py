@@ -7,9 +7,9 @@ advance by
     r' = (1 - leakage) * r + leakage * tanh(w_r r + w_in u + bias)
 
 either driven by an external signal (open loop) or by the trained readout's
-own output (closed loop).  One kernel runs it for single runs and for batches
-evolved in lock step as the columns of one state array (columns never
-interact); a step allocates only its sparse product.
+own output (closed loop).  One kernel runs it on runs evolved in lock step
+as the columns of one state array (columns never interact; a single run is
+one column); a step allocates only its sparse product.
 """
 
 from __future__ import annotations
@@ -116,9 +116,6 @@ class Reservoir:
     def n_in(self) -> int:
         return self.w_in.shape[1]
 
-    def zero_state(self) -> np.ndarray:
-        return np.zeros(self.n_r)
-
     def __repr__(self) -> str:
         return f"<Reservoir n_r={self.n_r} n_in={self.n_in} leakage={self.leakage}>"
 
@@ -216,16 +213,15 @@ def _fold_input_and_bias(res: Reservoir) -> sparse.csr_matrix:
 def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
             inputs: np.ndarray | None = None, w_out: np.ndarray | None = None,
             keep_last: int | None = None) -> np.ndarray:
-    """The reservoir update, run on one (n_r,) state or on (n_r, m) columns.
+    """The reservoir update, run on (n_r, m) columns evolved in lock step.
 
-    Open loop: step k consumes ``inputs[k]`` and records the new state.
-    Closed loop (``w_out`` given): step k records ``w_out @ r`` and, unless
-    it is the last step, consumes it.  Returns the last ``keep_last`` records
-    (default all) on a new first axis; open-loop columns come back as
-    (m, kept, n_r) instead, each column's records one contiguous block.  A
-    non-finite value stays in its column, without a warning.  Single runs
-    stay 1-d: scipy gives an (n_r, 1) column the same sparse product bits
-    with about 3 us more overhead a step.
+    Open loop: step k consumes the (n_in, m) ``inputs[k]`` and records the
+    new state.  Closed loop (``w_out`` given): step k records ``w_out @ r``
+    and, unless it is the last step, consumes it.  Returns the last
+    ``keep_last`` records (default all) as (m, kept, width), each column's
+    records one contiguous block.  A non-finite value stays in its column,
+    without a warning.  A single run is one column: scipy gives an (n_r, 1)
+    column the 1-d state's sparse product bits.
 
     A step allocates only its sparse product; everything else works in
     buffers allocated once per call.  ``x`` holds the state and, for one
@@ -244,23 +240,19 @@ def _evolve(res: Reservoir, r: np.ndarray, n_steps: int,
             f"readout w_out has shape {w_out.shape}, not ({res.n_in}, {res.n_r})")
     kept = n_steps if keep_last is None else min(keep_last, n_steps)
     first_kept = n_steps - kept
-    if w_out is None and r.ndim == 2:
-        records = np.empty((r.shape[1], kept, res.n_r))
-        slots = records.transpose(1, 2, 0)
-    else:
-        records = slots = np.empty((kept, res.n_r if w_out is None else res.n_in)
-                                   + r.shape[1:])
-    n, lam, fold = res.n_r, res.leakage, res.n_in == 1
-    x = np.empty((n + 2 * fold,) + r.shape[1:])
+    n, m, lam, fold = res.n_r, r.shape[1], res.leakage, res.n_in == 1
+    records = np.empty((m, kept, n if w_out is None else res.n_in))
+    slots = records.transpose(1, 2, 0)
+    x = np.empty((n + 2 * fold, m))
     x[:n] = r
     state = x[:n]
     if fold:
         w, u = _fold_input_and_bias(res), x[n:n + 1]
         x[n + 1] = 1.0
     else:
-        w, bias = res.w_r, (res.bias if r.ndim == 1 else res.bias[:, None])
+        w, bias = res.w_r, res.bias[:, None]
         if w_out is not None:
-            u = np.empty((res.n_in,) + r.shape[1:])
+            u = np.empty((res.n_in, m))
     term = np.empty(r.shape)
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(n_steps):
@@ -316,13 +308,13 @@ def drive_open_loop(res: Reservoir, signal: np.ndarray, r0: np.ndarray) -> np.nd
         raise DimensionMismatchError(
             f"signal must be (n_samples, {res.n_in}), got shape {signal.shape}")
     runs = np.shape(r0)[:1] if np.ndim(r0) == 2 else ()
-    r0 = _start_states(r0, runs + (res.n_r,), "r0")
-    if not runs:
-        return _evolve(res, r0, signal.shape[0], inputs=signal)
-    if runs[0] < 1 or signal.shape[0] % runs[0]:
+    # a 1-d r0 is a run of one column
+    r0 = _start_states(r0, runs + (res.n_r,), "r0").reshape(res.n_r, -1)
+    m = r0.shape[1]
+    if m < 1 or signal.shape[0] % m:
         raise DimensionMismatchError(
-            f"signal's {signal.shape[0]} rows do not split into {runs[0]} signals")
-    inputs = signal.reshape(runs[0], -1, res.n_in).transpose(1, 2, 0)
+            f"signal's {signal.shape[0]} rows do not split into {m} signals")
+    inputs = signal.reshape(m, -1, res.n_in).transpose(1, 2, 0)
     return _evolve(res, r0, inputs.shape[0], inputs=inputs).reshape(signal.shape[0], res.n_r)
 
 
@@ -334,7 +326,7 @@ def drive_open_loop_batch(res: Reservoir, inputs: np.ndarray) -> np.ndarray:
 
     Returns:
         Final states, shape (n_runs, n_r).  Each run follows exactly the
-        same recursion as :func:`drive_open_loop` from ``res.zero_state()``.
+        same recursion as :func:`drive_open_loop` from the zero state.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 3 or inputs.shape[1] < 1 or inputs.shape[2] != res.n_in:
@@ -363,5 +355,5 @@ def run_closed_loop_batch(res: Reservoir, readout: "Readout", r_start: np.ndarra
     """
     states = _start_states(r_start, np.shape(r_start)[:1] + (res.n_r,), "r_start")
     out = _evolve(res, states, n_steps, w_out=readout.w_out, keep_last=keep_last)
-    return readout.standardizer.invert_values(out.transpose(2, 0, 1))
+    return readout.standardizer.invert_values(out)
 

@@ -5,10 +5,9 @@ driving with noisy standardized signals are paired with the next noisy
 sample, the first ``n_trans`` states of every signal are discarded as a
 synchronization transient, and the normal-equation blocks Y R^T and R R^T
 are accumulated signal by signal, in order.  No more than
-``batch_max_states`` reservoir states are ever held at once: consecutive
-one-input signals of equal length are driven as the columns of one
-evolution, in blocks of at most min(batch_max_states, 2 n_r) states, and
-any other signal alone, in chunks.  The fit pair count is
+``batch_max_states`` reservoir states are ever held at once: a run of k
+consecutive equal-length signals is driven as the k columns of one
+evolution, batch_max_states // k steps at a time.  The fit pair count is
 
     n_fit = sum_i N_i - n_signals * (n_trans + 1)
 
@@ -247,25 +246,21 @@ def train_with_mse(res: Reservoir, signals: Sequence, cfg: TrainConfig,
 
 def _drive_and_accumulate(acc: NormalAccumulator, res: Reservoir, block: list,
                           cfg: TrainConfig) -> None:
-    """Drive a run of signals from the zero state; accumulate each signal's pairs."""
-    if len(block) > 1:
-        states = drive_open_loop(res, np.concatenate([v[:-1] for v in block]),
-                                 np.zeros((len(block), res.n_r)))
-        for values, own in zip(block, np.split(states, len(block))):
-            acc.accumulate(own[cfg.n_trans:], values[cfg.n_trans + 1:])
-        return
-    (values,) = block
-    inputs = values[:-1]
-    targets = values[1:]
-    state = res.zero_state()
-    for pos in range(0, len(inputs), cfg.batch_max_states):
-        states = drive_open_loop(res, inputs[pos:pos + cfg.batch_max_states], state)
+    """Drive k signals from the zero state as k columns, ``batch_max_states // k`` steps
+    a chunk, and accumulate each signal's pairs of a chunk in order."""
+    k, steps = len(block), len(block[0]) - 1
+    chunk = cfg.batch_max_states // k
+    state = np.zeros((k, res.n_r))
+    for pos in range(0, steps, chunk):
+        inputs = np.concatenate([v[:-1][pos:pos + chunk] for v in block])
+        states = drive_open_loop(res, inputs, state).reshape(k, -1, res.n_r)
         lo = max(cfg.n_trans - pos, 0)
-        if lo < len(states):
-            acc.accumulate(states[lo:], targets[pos + lo:pos + len(states)])
-        # a copy, so that this chunk is freed before the next one is driven
-        state = states[-1].copy()
-        del states
+        for values, own in zip(block, states):
+            if lo < len(own):
+                acc.accumulate(own[lo:], values[pos + 1 + lo:pos + 1 + len(own)])
+        # a copy, and no view left, so that this chunk is freed before the next is driven
+        state = states[:, -1].copy()
+        del states, own
 
 
 def _blocks(signals: list, res: Reservoir, batch_max_states: int):
@@ -273,8 +268,8 @@ def _blocks(signals: list, res: Reservoir, batch_max_states: int):
 
     A run of N-sample signals holds at most k = min(batch_max_states, 2 n_r)
     // (N - 1) of them, so its states take no more floats than ``rrt`` and
-    the Gram buffer.  With two or more inputs k is 1: their BLAS input term
-    rounds by batch width.  A run of one signal is driven in chunks.
+    the Gram buffer and fit one chunk.  With two or more inputs k is 1:
+    their BLAS input term rounds by batch width.
     """
     for _, run in itertools.groupby(signals, len):
         run = list(run)
@@ -318,6 +313,19 @@ def save_model(path, res: Reservoir, readout: Readout) -> None:
             zf.writestr(info, buf.getvalue())
 
 
+def _spec_from_member(values: np.ndarray) -> ReservoirSpec:
+    """A bundle's ``spec``: one real number per field, in order, integral for int fields."""
+    specs = fields(ReservoirSpec)
+    if values.shape != (len(specs),) or values.dtype.kind not in "iuf":
+        raise ValueError(f"spec must hold {len(specs)} numbers, "
+                         f"not a {values.dtype} array of shape {values.shape}")
+    values = values.tolist()
+    for f, v in zip(specs, values):
+        if f.type == "int" and not float(v).is_integer():
+            raise ValueError(f"spec field {f.name} = {v} is not an integer")
+    return ReservoirSpec(*(int(v) if f.type == "int" else float(v) for f, v in zip(specs, values)))
+
+
 def load_model(path) -> tuple[Reservoir, Readout]:
     """Read a :func:`save_model` bundle; reloaded dynamics are bit-identical.
 
@@ -329,8 +337,7 @@ def load_model(path) -> tuple[Reservoir, Readout]:
             if str(archive["schema"]) != _MODEL_SCHEMA:
                 raise SchemaMismatchError(
                     f"unexpected archive schema {archive['schema']}; expected {_MODEL_SCHEMA}")
-            spec = ReservoirSpec(*(int(v) if f.type == "int" else float(v)
-                                   for f, v in zip(fields(ReservoirSpec), archive["spec"])))
+            spec = _spec_from_member(archive["spec"])
             w_r = sparse.csr_matrix(
                 (archive["w_r_data"], archive["w_r_indices"], archive["w_r_indptr"]),
                 shape=(spec.n_r, spec.n_r),

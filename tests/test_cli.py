@@ -901,6 +901,21 @@ class TestDamagedArtifacts:
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
         assert not out.exists()
 
+    def test_bundle_spec_of_seven_values(self, wells_artifacts, tmp_path, capsys):
+        # a spec one value short used to end basin-map with a TypeError traceback
+        ini, _, bundle = wells_artifacts
+        npz, out = tmp_path / "model.npz", tmp_path / "out"
+        with np.load(bundle) as archive:
+            members = dict(archive)
+        np.savez(npz, **{**members, "spec": members["spec"][:7]})
+        capsys.readouterr()
+        assert run(["basin-map", "--config", ini, "--bundle", str(npz), "--parallel", "1",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {npz} is not a complete model bundle: spec must hold 8 numbers, "
+            "not a float64 array of shape (7,)\n")
+        assert not list(out.glob("*"))
+
 
 class TestDeadWorker:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

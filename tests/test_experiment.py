@@ -519,30 +519,24 @@ class TestSamplingWindow:
 
 
 class TestAdaptiveTruthTasks:
-    """Adaptive truth integrates each cell chunk as one ensemble."""
+    """Truth integrates the cells it is given as one ensemble."""
 
     @staticmethod
-    def config():
-        return default_config("duffing", adaptive_truth=True, resolution=9,
+    def config(adaptive=True):
+        return default_config("duffing", adaptive_truth=adaptive, resolution=9,
                               horizon=600, n_test=10)
 
-    def test_one_call_per_chunk(self, monkeypatch):
-        cfg = self.config()
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_rows_independent_of_width(self, adaptive):
+        # run_basin_experiment's chunks rely on it: the whole grid at once
+        # equals 32-cell slices of it, concatenated, label for label and bit for bit
+        cfg = self.config(adaptive)
         _, ics = make_grid(cfg)
-        whole = truth_and_test_signals(cfg, ics)
-        sizes = []
-        integrate = experiment_mod.integrate_adaptive
-
-        def recording(*args, **kwargs):
-            sizes.append(len(args[1]))
-            return integrate(*args, **kwargs)
-
-        monkeypatch.setattr(experiment_mod, "integrate_adaptive", recording)
-        monkeypatch.setattr(experiment_mod, "CELL_CHUNK", 32)
-        chunked = truth_and_test_signals(cfg, ics)
-        assert sizes == [32, 32, 17]
-        assert np.array_equal(whole[0], chunked[0])
-        assert chunked[1].tobytes() == whole[1].tobytes()
+        labels, prefixes = truth_and_test_signals(cfg, ics)
+        parts = [truth_and_test_signals(cfg, ics[lo:lo + 32]) for lo in range(0, len(ics), 32)]
+        assert len(ics) == 81 and len(parts) == 3
+        assert np.array_equal(labels, np.concatenate([p[0] for p in parts]))
+        assert prefixes.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
 
     def test_failed_cell_raises(self, monkeypatch):
         cfg = self.config()

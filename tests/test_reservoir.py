@@ -311,7 +311,7 @@ class TestSingleRunIsBatchOfOne:
     @pytest.mark.parametrize("leakage", [1.0, 0.3])
     def test_open_loop(self, n_in, leakage):
         res, _, signal, _ = kernel_case(n_in, leakage)
-        single = drive_open_loop(res, signal, res.zero_state())
+        single = parent_evolve(res, np.zeros(res.n_r), len(signal), inputs=signal)
         batch = drive_open_loop_batch(res, signal[None])
         assert batch.shape == (1, res.n_r)
         assert np.array_equal(batch[0], single[-1])
@@ -319,14 +319,22 @@ class TestSingleRunIsBatchOfOne:
     @pytest.mark.parametrize("n_in", [1, 2])
     @pytest.mark.parametrize("leakage", [1.0, 0.3])
     def test_closed_loop(self, n_in, leakage):
-        # the kernel's single run against the batch of one that predict runs
+        # the reference's single run against the batch of one that predict runs
         res, ro, _, r0 = kernel_case(n_in, leakage)
-        single = ro.standardizer.invert_values(_evolve(res, r0, 60, w_out=ro.w_out))
+        single = ro.standardizer.invert_values(parent_evolve(res, r0, 60, w_out=ro.w_out))
         batch = run_closed_loop_batch(res, ro, r0[None], 60)
         tail = run_closed_loop_batch(res, ro, r0[None], 60, keep_last=7)
         assert batch.shape == (1, 60, n_in) and tail.shape == (1, 7, n_in)
         assert np.array_equal(batch[0], single)
         assert np.array_equal(tail[0], single[-7:])
+
+    @pytest.mark.parametrize("n_in", [1, 2, 3])
+    @pytest.mark.parametrize("leakage", [1.0, 0.3])
+    def test_drive_open_loop_is_one_column(self, n_in, leakage):
+        # the public 1-d r0 runs as one column, with the 1-d reference's bytes
+        res, _, signal, r0 = kernel_case(n_in, leakage)
+        assert_same_bytes(drive_open_loop(res, signal, r0),
+                          parent_evolve(res, r0, len(signal), inputs=signal))
 
 
 class TestBatchValidation:
@@ -424,10 +432,19 @@ def parent_evolve(res, r, n_steps, inputs=None, w_out=None, keep_last=None):
             r = (1.0 - lam) * r + lam * np.tanh(pre)
             if w_out is None and k >= first_kept:
                 records[k - first_kept] = r
-    if w_out is None and r.ndim == 2:
-        # the kernel's open-loop column layout: (m, kept, n_r)
+    if r.ndim == 2:
+        # the kernel's column layout: (m, kept, width)
         return np.ascontiguousarray(records.transpose(2, 0, 1))
     return records
+
+
+def kernel(res, r, n_steps, inputs=None, **kw):
+    """``_evolve`` on (n_r, m) columns; a 1-d run goes in as one column and comes back 1-d."""
+    if r.ndim == 2:
+        return _evolve(res, r, n_steps, inputs=inputs, **kw)
+    if inputs is not None:
+        inputs = inputs[..., None]
+    return _evolve(res, r[:, None], n_steps, inputs=inputs, **kw)[0]
 
 
 def identity_case(n_in, leakage, columns, bias_strength=0.5, n_steps=30, order="C"):
@@ -465,10 +482,10 @@ class TestKernelIdentity:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_open_and_closed_loop(self, n_in, leakage, columns, keep_last, order):
         res, w_out, inputs, r0 = identity_case(n_in, leakage, columns, order=order)
-        assert_same_bytes(_evolve(res, r0, 30, inputs=inputs, keep_last=keep_last),
+        assert_same_bytes(kernel(res, r0, 30, inputs=inputs, keep_last=keep_last),
                           parent_evolve(res, r0, 30, inputs=inputs, keep_last=keep_last))
         # the closed loop reads its start from the kernel's C-ordered copy
-        assert_same_bytes(_evolve(res, r0, 30, w_out=w_out, keep_last=keep_last),
+        assert_same_bytes(kernel(res, r0, 30, w_out=w_out, keep_last=keep_last),
                           parent_evolve(res, np.ascontiguousarray(r0), 30, w_out=w_out,
                                         keep_last=keep_last))
 
@@ -480,7 +497,7 @@ class TestKernelIdentity:
         inputs = np.where(np.arange(inputs.size).reshape(inputs.shape) % 2, 0.0, -0.0)
         r0 = np.where(np.arange(r0.size).reshape(r0.shape) % 3, 0.0, -0.0)
         for kw in ({"inputs": inputs}, {"w_out": w_out}):
-            new = _evolve(res, r0, 30, **kw)
+            new = kernel(res, r0, 30, **kw)
             assert_same_bytes(new, parent_evolve(res, r0, 30, **kw))
             assert not np.any(new)
 
@@ -493,9 +510,9 @@ class TestKernelIdentity:
         r0[::4] = np.nan
         if columns is not None:
             r0[:, ::2] = np.nan
-        new = _evolve(res, r0, 30, w_out=w_out)
+        new = kernel(res, r0, 30, w_out=w_out)
         assert_same_bytes(new, parent_evolve(res, r0, 30, w_out=w_out))
-        assert np.isnan(new[1:]).all()
+        assert np.isnan(new[..., 1:, :]).all()
 
     @pytest.mark.parametrize("n_in", [1, 2])
     @pytest.mark.parametrize("columns", [None, 7])
@@ -503,7 +520,7 @@ class TestKernelIdentity:
         res, _, inputs, r0 = identity_case(n_in, 0.3, columns)
         r0 = r0.copy()
         r0[::4] = np.nan
-        new = _evolve(res, r0, 30, inputs=inputs)
+        new = kernel(res, r0, 30, inputs=inputs)
         assert_same_bytes(new, parent_evolve(res, r0, 30, inputs=inputs))
         assert np.isnan(new[..., ::4]).all()
 
@@ -516,7 +533,7 @@ class TestKernelIdentity:
         inputs = np.array([[1.0] * n_in, [np.inf] * n_in, [-np.inf] * n_in, [2.0] * n_in])
         w_out = np.full((n_in, 3), 1e308)
         for kw in ({"inputs": inputs}, {"w_out": w_out}):
-            new = _evolve(res, np.ones(3), 4, **kw)
+            new = kernel(res, np.ones(3), 4, **kw)
             assert_same_bytes(new, parent_evolve(res, np.ones(3), 4, **kw))
             assert np.isnan(new[-1]).any()
 
@@ -528,16 +545,16 @@ class TestKernelIdentity:
         signal = np.random.default_rng(5).standard_normal((6, 1))
         r0 = np.zeros(res.n_r)
         r0[[0, 7]] = bad
-        new = _evolve(res, r0, 6, inputs=signal)
+        new = kernel(res, r0, 6, inputs=signal)
         assert np.all(np.isfinite(new))
-        assert_same_bytes(new, _evolve(res, np.zeros(res.n_r), 6, inputs=signal))
+        assert_same_bytes(new, kernel(res, np.zeros(res.n_r), 6, inputs=signal))
         assert np.isnan(parent_evolve(res, r0, 6, inputs=signal)[:, [0, 7]]).all()
 
     def test_leaky_update_keeps_nonfinite_start(self):
         res = build_reservoir(small_spec(spectral_radius=0.0, leakage=0.3))
         r0 = np.zeros(res.n_r)
         r0[3] = np.inf
-        new = _evolve(res, r0, 4, inputs=np.ones((4, 1)))
+        new = kernel(res, r0, 4, inputs=np.ones((4, 1)))
         assert np.all(new[:, 3] == np.inf) and np.all(np.isfinite(np.delete(new, 3, axis=1)))
 
 
@@ -580,8 +597,8 @@ class TestCallerArraysUntouched:
         res, ro, starts, inputs = self.case(n_in, leakage)
         r0, signal = starts[0].copy(), inputs[0].copy()
         drive_open_loop(res, signal, r0)
-        _evolve(res, r0, 12, inputs=signal)
-        _evolve(res, r0, 12, w_out=ro.w_out)
+        kernel(res, r0, 12, inputs=signal)
+        kernel(res, r0, 12, w_out=ro.w_out)
         assert r0.tobytes() == starts[0].tobytes()
         assert signal.tobytes() == inputs[0].tobytes()
 

@@ -102,6 +102,24 @@ def test_training_blocks_traced():
                for s in run.spans) == cfg.n_train
 
 
+def test_chunked_training_traced():
+    # two inputs, 20-sample signals, batch_max_states 8: each signal is driven
+    # alone in chunks of 8, 8 and 3 steps, one span a chunk
+    tracer = load_tracer()
+    cfg = default_config("duffing", n_r=50, observe=(0, 1), train_sig_len=20, n_train=4,
+                         batch_max_states=8, resolution=2)
+    run = tracer.Tracer("tier1")
+    run.install(rcbasin)
+    try:
+        run_basin_experiment(cfg)
+    finally:
+        run.uninstall()
+    drives = [s for s in run.spans if s["name"] == "training.drive_open_loop"]
+    assert [s["counts"]["steps"] for s in drives] == [8, 8, 3] * cfg.n_train
+    assert (tracer.layer_metrics(run.spans)["reservoir.drive_open_loop_steps"]
+            == cfg.n_train * (cfg.train_sig_len - 1))
+
+
 def test_benchmark_span_contract(tmp_path):
     # the benchmark's own check on traced maps, run as its child process runs
     # them; Lorenz takes the KL path and the pendulum the adaptive one

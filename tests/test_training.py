@@ -15,6 +15,7 @@ from rcbasin import reservoir as reservoir_mod
 from rcbasin import training as training_mod
 from rcbasin.errors import (
     DimensionMismatchError,
+    SchemaMismatchError,
     SingularSystemError,
     TooShortError,
 )
@@ -290,6 +291,20 @@ class TestTrain:
         train(small_reservoir(), duffing_signals, TrainConfig(batch_max_states=8))
         assert seen and max(seen) <= 8
 
+    def test_frees_each_chunk_before_the_next(self):
+        # one 3,000-step signal in chunks of 1,000: one chunk of states is held
+        # at a time, beside rrt, the Gram buffer and the solve's copy
+        res = small_reservoir(n_r=200)
+        signal = np.random.default_rng(14).standard_normal((3001, 1))
+        chunk_bytes, rrt_bytes = 1000 * res.n_r * 8, res.n_r**2 * 8
+        tracemalloc.start()
+        try:
+            train(res, [signal], TrainConfig(batch_max_states=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk_bytes + 3 * rrt_bytes
+
     def test_interpolation_regime_mse(self):
         # more nodes than fit pairs: ridge at alpha 1e-12 interpolates
         res = small_reservoir(n_r=120)
@@ -364,6 +379,36 @@ class TestColumnBlocks:
         assert blocked.w_out.tobytes() == single.w_out.tobytes()
         assert blocked_mse == single_mse
 
+    def test_chunks_continue_single_drives(self, monkeypatch):
+        # two inputs, 61-sample signals, batch_max_states 25: each signal is
+        # driven in chunks of 25, 25 and 10 steps, each accumulated as it comes
+        rng = np.random.default_rng(13)
+        signals = [rng.standard_normal((61, 2)) for _ in range(2)]
+        res = small_reservoir(n_in=2, n_r=50)
+        calls = []
+        accumulate = NormalAccumulator.accumulate
+
+        def spy(self, states, targets):
+            calls.append((states.copy(), targets.copy()))
+            return accumulate(self, states, targets)
+
+        monkeypatch.setattr(NormalAccumulator, "accumulate", spy)
+        # identity standardizer and no noise: the reservoir sees the raw signals
+        train(res, signals, TrainConfig(n_trans=5, eta=0.0, batch_max_states=25),
+              standardizer=Standardizer.identity(2))
+        expected = []
+        for values in signals:
+            state = np.zeros(res.n_r)
+            for pos in (0, 25, 50):
+                states = reservoir_mod.drive_open_loop(res, values[pos:min(pos + 25, 60)], state)
+                lo = max(5 - pos, 0)
+                expected.append((states[lo:], values[pos + 1 + lo:pos + 1 + len(states)]))
+                state = states[-1]
+        assert [len(s) for s, _ in calls] == [20, 25, 10] * 2
+        for (states, targets), (want_states, want_targets) in zip(calls, expected, strict=True):
+            assert states.tobytes() == want_states.tobytes()
+            assert targets.tobytes() == want_targets.tobytes()
+
 
 def test_normal_equations_do_not_depend_on_thread_count():
     # rrt and yrt of one fixed list of batches, at 1 and 2 BLAS threads
@@ -410,6 +455,23 @@ class TestModelBundle:
         save_model(p1, res, ro)
         save_model(p2, res, ro)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("damage, fragment", [
+        (lambda spec: spec[:7], "8 numbers, not a float64 array of shape (7,)"),
+        (lambda spec: np.append(spec, 1.0), "8 numbers, not a float64 array of shape (9,)"),
+        (lambda spec: spec[0], "8 numbers, not a float64 array of shape ()"),
+        (lambda spec: np.concatenate([[20.7], spec[1:]]), "n_r = 20.7 is not an integer"),
+    ], ids=["seven-values", "nine-values", "zero-d", "fractional-n_r"])
+    def test_damaged_spec_rejected(self, tmp_path, duffing_signals, damage, fragment):
+        # every other member matches n_r 20, which the fractional n_r used to load as
+        res = small_reservoir(n_r=20)
+        path = tmp_path / "model.npz"
+        save_model(path, res, train(res, duffing_signals, TrainConfig()))
+        with np.load(path) as archive:
+            members = dict(archive)
+        np.savez(path, **{**members, "spec": damage(members["spec"])})
+        with pytest.raises(SchemaMismatchError, match=re.escape(fragment)):
+            load_model(path)
 
     def test_readout_rejects_nonfinite(self):
         with pytest.raises(ValueError):
