@@ -118,13 +118,13 @@ def classify_fixed_point(traj: Trajectories, sys: SystemDef, crit: ConvergenceCr
                          components: Sequence[int] | None = None) -> Label | list[Label]:
     """Decide which fixed-point attractor (if any) each trajectory reached.
 
-    The candidate is the attractor nearest the final point.  With the full
-    state, a defined energy function, and a barrier level, convergence means
-    the final energy is below the barrier; otherwise all of the last
-    ``tail_len`` samples must lie within ``eps_c`` of the candidate.  A tail
-    that has settled (every sample within eps_c of the tail mean) farther
-    than eps_c from every true attractor is reported as ``SPURIOUS``;
-    anything else, a non-finite tail included, is ``UNRESOLVED``.
+    The candidate is the :func:`nearest_attractor` of the final point.  With
+    ``full_state`` (every state component, in order), an energy function and
+    a barrier level, convergence means the final energy is below the
+    barrier; otherwise all of the last ``tail_len`` samples must lie within
+    ``eps_c`` of the candidate.  A tail settled (every sample within eps_c
+    of the tail mean) farther than eps_c from every attractor is
+    ``SPURIOUS``; anything else, a non-finite tail included, is ``UNRESOLVED``.
 
     A :class:`TimeSeries` gets one label; an (m, n_samples, d) array gets a
     list of m labels, each equal to that of the row as a TimeSeries.
@@ -142,7 +142,7 @@ def classify_fixed_point(traj: Trajectories, sys: SystemDef, crit: ConvergenceCr
     locations = sys.attractor_locations(components)
 
     ends = tails[:, -1]
-    candidate = np.argmin(np.linalg.norm(locations - ends[:, None], axis=2), axis=1)
+    candidate = nearest_attractor(ends, sys, components)
     use_energy = (full_state and sys.energy is not None
                   and crit.energy_barrier is not None and width == sys.dim)
     if use_energy:
@@ -413,7 +413,7 @@ def nearest_attractor(ends: np.ndarray, sys: SystemDef,
     to the lowest attractor index.
     """
     if any(a.kind != FIXED_POINT for a in sys.attractors):
-        raise ValueError("baseline requires fixed-point attractors")
+        raise ValueError("a nearest attractor needs fixed-point attractors")
     diff = ends[:, None, :] - sys.attractor_locations(components)[None, :, :]
     return np.argmin(np.einsum("ijk,ijk->ij", diff, diff), axis=1)
 

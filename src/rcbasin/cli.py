@@ -44,7 +44,11 @@ def _values(parse, text):
         raise ValueError("needs at least one value")
     return values
 def _ints(text): return _values(int, text)
-def _floats(text): return _values(float, text)
+def _floats(text):
+    values = _values(float, text)
+    if not np.isfinite(values).all():
+        raise ValueError("every value must be finite")
+    return values
 def _bool(text):
     if text.lower() in ("1", "true", "yes", "on"):
         return True

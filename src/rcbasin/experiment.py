@@ -236,6 +236,10 @@ def system_from_config(cfg: ExperimentConfig) -> SystemDef:
         raise DimensionMismatchError(
             f"components {list(cfg.observe)} and grid_axes {list(cfg.grid_axes)} must "
             f"index the {sys.dim} state components of {sys.name}")
+    if sys.chaotic and tuple(cfg.observe) != tuple(range(sys.dim)):
+        raise DimensionMismatchError(
+            f"{sys.name} is chaotic: [observation] components {list(cfg.observe)} must be "
+            f"{list(range(sys.dim))}, the full state its KL references hold")
     if sys.chaotic and cfg.kl_threshold is None:
         raise ValueError(f"{sys.name} is chaotic: its labels need [criteria] kl_threshold")
     return sys
@@ -330,14 +334,14 @@ def label_trajectories(sys: SystemDef, crit: ConvergenceCriteria, block: np.ndar
                        components: Sequence[int]) -> list[Label]:
     """Classifier label of each trajectory in an (m, n, len(components)) block.
 
-    The one labelling rule of truth, training candidates and forecasts:
-    fully observed trajectories qualify for the energy test.
+    The one labelling rule of truth, training candidates and forecasts; only
+    a block of every state component, in order, qualifies for the energy test.
     """
     if sys.chaotic:
         return _classify.classify_chaotic(block, sys.attractors, crit)
-    return _classify.classify_fixed_point(block, sys, crit,
-                                          full_state=len(components) == sys.dim,
-                                          components=components)
+    return _classify.classify_fixed_point(
+        block, sys, crit, full_state=tuple(components) == tuple(range(sys.dim)),
+        components=components)
 
 
 def labelled_tail(sys: SystemDef, crit: ConvergenceCriteria) -> int:
@@ -373,7 +377,6 @@ def truth_and_test_signals(cfg: ExperimentConfig, ics: np.ndarray) -> tuple[np.n
     labels = np.array([label if isinstance(label, int) else -1
                        for label in label_trajectories(sys, criteria_from_config(cfg), block,
                                                        range(sys.dim))], dtype=int)
-    labels[~np.isfinite(block).all(axis=(1, 2))] = -1
     # C-ordered, the layout the synchronization's BLAS input product is pinned at
     return labels, np.ascontiguousarray(block[:, :cfg.n_test, list(cfg.observe)])
 
@@ -473,8 +476,7 @@ def generate_training_set(cfg: ExperimentConfig,
             if fail:
                 raise _underflow(ic)
             if basin is not None:
-                label = label_trajectories(sys, crit, values[None], range(sys.dim))[0]
-                if label != basin or not np.isfinite(values).all():
+                if label_trajectories(sys, crit, values[None], range(sys.dim))[0] != basin:
                     continue
             elif not np.isfinite(values).all():
                 raise NonFiniteError(f"training trajectory from {ic.tolist()} is not finite")

@@ -38,6 +38,7 @@ from .errors import (
     SchemaMismatchError,
     SingularSystemError,
     TooShortError,
+    ZeroRangeError,
 )
 from .reservoir import Reservoir, ReservoirSpec, drive_open_loop
 from .timeseries import Standardizer, TimeSeries, fit_standardizer, frozen
@@ -329,13 +330,15 @@ def _spec_from_member(values: np.ndarray) -> ReservoirSpec:
 def load_model(path) -> tuple[Reservoir, Readout]:
     """Read a :func:`save_model` bundle; reloaded dynamics are bit-identical.
 
-    Raises :class:`SchemaMismatchError` unless it is a complete bundle
-    written under this module's model schema.
+    Raises :class:`SchemaMismatchError` naming the file unless it is a
+    complete bundle written under this module's model schema whose parts
+    fit its ``spec``: ``w_in`` (n_r, n_in), ``w_out`` (n_in, n_r), and n_in
+    standardizer entries.
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
             if str(archive["schema"]) != _MODEL_SCHEMA:
-                raise SchemaMismatchError(
+                raise ValueError(
                     f"unexpected archive schema {archive['schema']}; expected {_MODEL_SCHEMA}")
             spec = _spec_from_member(archive["spec"])
             w_r = sparse.csr_matrix(
@@ -343,8 +346,16 @@ def load_model(path) -> tuple[Reservoir, Readout]:
                 shape=(spec.n_r, spec.n_r),
             )
             res = Reservoir(w_r, archive["w_in"], archive["bias"], spec.leakage, spec=spec)
-            return res, Readout(w_out=archive["w_out"],
-                                standardizer=Standardizer(archive["shift"], archive["scale"]),
-                                n_fit=int(archive["n_fit"]))
-    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as err:
+            readout = Readout(w_out=archive["w_out"],
+                              standardizer=Standardizer(archive["shift"], archive["scale"]),
+                              n_fit=int(archive["n_fit"]))
+        for name, shape, expected in (
+                ("w_in", res.w_in.shape, (spec.n_r, spec.n_in)),
+                ("w_out", readout.w_out.shape, (spec.n_in, spec.n_r)),
+                ("shift and scale", readout.standardizer.shift.shape, (spec.n_in,))):
+            if shape != expected:
+                raise ValueError(f"{name} of shape {shape}, not {expected} as its spec says")
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile, DimensionMismatchError,
+            ZeroRangeError) as err:
         raise SchemaMismatchError(f"{path} is not a complete model bundle: {err}") from err
+    return res, readout

@@ -469,6 +469,14 @@ class TestNearestAttractor:
         with pytest.raises(ValueError):
             nearest_attractor(np.zeros((2, 3)), lorenz, (0, 1, 2))
 
+    @pytest.mark.parametrize("sys, end", [(duffing(), [0.0, 1.5]), (multi_well(), [0.0, 0.0])],
+                             ids=["duffing", "multi_well"])
+    def test_ties_take_the_lowest_index(self, sys, end):
+        # the end is equidistant from every attractor; eps_c reaches all of them
+        assert nearest_attractor(np.array([end]), sys, (0, 1)).tolist() == [0]
+        crit = ConvergenceCriteria(eps_c=5.0, tail_len=3)
+        assert classify_fixed_point(np.tile(end, (1, 3, 1)), sys, crit) == [0]
+
 
 def parent_classify_fixed_point(values, sys, crit, full_state=False, components=None):
     """The per-trajectory fixed-point classifier before batching, on the

@@ -584,18 +584,51 @@ class TestIndexInputs:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "predict"])
-    def test_ic_needs_every_component(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["train", "basin-map"])
+    def test_chaotic_system_observed_in_full(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+        for name in ("rk4_ensemble", "integrate_adaptive"):
+            monkeypatch.setattr(experiment, name, lambda *args, **kwargs: calls.append(args))
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[system]\nname = multistable_lorenz\n[reservoir]\nn_r = 50\n"
+                       "[observation]\ncomponents = 0 2\n[experiment]\nresolution = 2\n")
+        out = tmp_path / "out"
+        flags = ["--parallel", "1"] if command == "basin-map" else []
+        assert run([command, "--config", str(ini), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: multistable_lorenz is chaotic: [observation] components [0, 2] must be "
+            "[0, 1, 2], the full state its KL references hold\n")
+        assert calls == []
+        assert not out.exists()
+
+    @staticmethod
+    def run_cell(tmp_path, system: str, command: str, ic: str) -> int:
+        """``simulate`` or ``predict`` (with a one-input bundle) from ``ic``; no output kept."""
         ini = tmp_path / "cell.ini"
-        ini.write_text(f"[system]\nname = duffing\n[{command}]\nic = 1.0, 0.0, 2.0\n"
+        ini.write_text(f"[system]\nname = {system}\n[{command}]\nic = {ic}\n"
                        + ("n_steps = 50\n" if command == "simulate" else ""))
         out = tmp_path / "out"
-        assert run([command, "--config", str(ini), "--out", str(out),
+        code = run([command, "--config", str(ini), "--out", str(out),
                     *(["--bundle", frozen_bundle(tmp_path / "model.npz", 1, 0.0)]
-                      if command == "predict" else [])]) == 2
+                      if command == "predict" else [])])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_ic_needs_every_component(self, tmp_path, capsys, command):
+        assert self.run_cell(tmp_path, "duffing", command, "1.0, 0.0, 2.0") == 2
         assert capsys.readouterr().err == \
             f"config error: [{command}] ic needs 2 components, got 3\n"
-        assert not out.exists()
+
+    @pytest.mark.parametrize("system, command, ic", [
+        ("duffing", "simulate", "nan 0"), ("duffing", "predict", "inf 0"),
+        ("magnetic_pendulum", "simulate", "nan 0 0 0")],
+        ids=["duffing-simulate", "duffing-predict", "pendulum-simulate"])
+    def test_ic_must_be_finite(self, tmp_path, capsys, system, command, ic):
+        # these used to exit 1 after integrating, each with its own message
+        assert self.run_cell(tmp_path, system, command, ic) == 2
+        assert capsys.readouterr().err == (f"config error: invalid value in [{command}] ic: "
+                                           f"{ic!r} (every value must be finite)\n")
 
     @pytest.mark.parametrize("system, ic", [("duffing", "1.0, 0.0"),
                                             ("multistable_lorenz", "1.0, 1.0, 1.0")])
@@ -838,6 +871,27 @@ def wells_artifacts(tmp_path_factory):
     return str(ini), root / "map" / "basin_map.csv", frozen_bundle(root / "model.npz", 2, 0.0)
 
 
+def _spec_with_n_in(members: dict, n_in: int) -> dict:
+    spec = members["spec"].copy()
+    spec[[f.name for f in fields(ReservoirSpec)].index("n_in")] = n_in
+    return {"spec": spec}
+
+
+#: Bundle members replaced so that the two-node, two-input bundle no longer
+#: loads: (replacements, the error's detail).
+MISFIT_PARTS = {
+    "bundle-w_out-cut": (lambda m: {"w_out": m["w_out"][:, :1]},
+                         "w_out of shape (2, 1), not (2, 2) as its spec says"),
+    "bundle-long-standardizer": (lambda m: {"shift": np.zeros(3), "scale": np.ones(3)},
+                                 "shift and scale of shape (3,), not (2,) as its spec says"),
+    "bundle-spec-n_in": (lambda m: _spec_with_n_in(m, 3),
+                         "w_in of shape (2, 2), not (2, 3) as its spec says"),
+    "bundle-short-bias": (lambda m: {"bias": m["bias"][:1]}, "bias must be (n_r,)"),
+    "bundle-other-schema": (lambda m: {"schema": np.array("rcbasin-model-0")},
+                            "unexpected archive schema rcbasin-model-0"),
+}
+
+
 class TestDamagedArtifacts:
     """A damaged map or bundle ends the command with one error line naming the file."""
 
@@ -846,7 +900,7 @@ class TestDamagedArtifacts:
                                         "truncated-bundle", "short-row", "unparsable-cell",
                                         "missing-row", "non-ascii-map", "non-ascii-meta",
                                         "resolution=-5", "resolution='5'", "resolution=5.5",
-                                        "resolution=True"])
+                                        "resolution=True", *MISFIT_PARTS])
     def test_one_error_line(self, wells_artifacts, tmp_path, capsys, damage):
         ini, map_csv, bundle = wells_artifacts
         csv, meta, npz = tmp_path / "map.csv", tmp_path / "map.csv.meta", tmp_path / "model.npz"
@@ -886,6 +940,12 @@ class TestDamagedArtifacts:
                     if info.filename != "n_fit.npy":
                         dst.writestr(info, src.read(info))
             named = f"{npz} is not a complete model bundle"
+        elif damage in MISFIT_PARTS:
+            replace, detail = MISFIT_PARTS[damage]
+            with np.load(bundle) as archive:
+                members = dict(archive)
+            np.savez(npz, **{**members, **replace(members)})
+            named = f"{npz} is not a complete model bundle: {detail}"
         else:
             data = Path(bundle).read_bytes()
             npz.write_bytes(data[:len(data) // 2])

@@ -115,6 +115,16 @@ class TestConfig:
             make_grid(cfg)
         assert system_from_config(default_config("magnetic_pendulum", **override)).dim == 4
 
+    @pytest.mark.parametrize("observe", [(0, 2), (1, 0, 2)])
+    def test_chaotic_system_observed_in_full_and_in_order(self, observe):
+        # its KL references hold the full state, in state order
+        cfg = default_config("multistable_lorenz", observe=observe)
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"[observation] components {list(observe)} must "
+                                           "be [0, 1, 2]")):
+            system_from_config(cfg)
+        assert system_from_config(default_config("multistable_lorenz")).dim == 3
+
     def test_forced_duffing_drops_energy_barrier(self):
         cfg = default_config("duffing", system_params={"f0": 1.0})
         assert cfg.energy_barrier is None
@@ -594,6 +604,46 @@ class TestKeptWindows:
         # a whole candidate over the 4000-step rejection horizon is 64 kB
         cfg = default_config("duffing", n_train=200, restrict_to_basin=0)
         assert peak_bytes(generate_training_set, cfg) < 6e6
+
+
+class TestLabelOwners:
+    """Each labelling decision has one owner, whatever the column order."""
+
+    @pytest.mark.parametrize("system, order", [
+        ("duffing", (1, 0)), ("multi_well", (1, 0)),
+        ("magnetic_pendulum", (2, 0, 3, 1)), ("magnetic_pendulum", (1, 0))])
+    def test_column_order_does_not_matter(self, system, order):
+        cfg = default_config(system, resolution=8, adaptive_truth=False)
+        sys, crit = system_from_config(cfg), experiment_mod.criteria_from_config(cfg)
+        block = experiment_mod.integrate_truth(cfg, sys, make_grid(cfg)[1], cfg.horizon - 1)
+        in_order = sorted(order)
+        expected = experiment_mod.label_trajectories(sys, crit, block[:, :, in_order], in_order)
+        assert len(set(expected)) > 1
+        assert experiment_mod.label_trajectories(sys, crit, block[:, :, list(order)],
+                                                 order) == expected
+
+    def test_duffing_map_observing_velocity_first(self):
+        # the energy test read (y, x) as (x, y) and left every forecast unresolved
+        cfg = default_config("duffing", observe=(1, 0), resolution=12, restrict_to_basin=0)
+        assert run_basin_experiment(cfg).metrics.f_c > 0.9
+
+    def test_overflowing_restricted_candidate_rejected(self, monkeypatch):
+        # this start overflows within the training window; its tail is not finite
+        embed, blocks = experiment_mod._embed, []
+
+        def overflowing_first(cfg_, dim, coords):
+            ics = embed(cfg_, dim, coords)
+            if not blocks:
+                ics[0] = [583.0, 0.0]
+            blocks.append(ics)
+            return ics
+
+        monkeypatch.setattr(experiment_mod, "_embed", overflowing_first)
+        cfg = default_config("duffing", n_train=3, restrict_to_basin=0, observe=(0, 1))
+        signals = generate_training_set(cfg)
+        assert blocks[0][0].tolist() == [583.0, 0.0]
+        assert np.isfinite(signals).all()
+        assert 583.0 not in signals[:, 0, 0]
 
 
 class TestRunBasinExperiment:
